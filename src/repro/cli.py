@@ -752,8 +752,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if summary.get("histograms"):
         print("histograms:")
         for name, h in summary["histograms"].items():
-            print(f"  {name:<36} count={h['count']} mean={h['mean']:.1f} "
-                  f"min={h['min']:.0f} max={h['max']:.0f}")
+            # significant figures: histograms span sub-ms walls to frontier sizes
+            print(f"  {name:<36} count={h['count']} mean={h['mean']:.4g} "
+                  f"min={h['min']:.4g} max={h['max']:.4g}")
     if summary["point_events"]:
         print("events:")
         for name, value in summary["point_events"].items():

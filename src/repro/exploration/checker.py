@@ -7,8 +7,9 @@ state materialisation on the hot path), and offers:
 
 * **per-state invariant hooks** — the bundles from
   :mod:`repro.verification.invariants` plus two built-in signature-level
-  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a mask-only Kahn scan)
-  and ``progress`` (every quiescent state is destination oriented — the
+  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a mask-only Kahn scan,
+  or on the vectorised paths certified per step where the step allows it —
+  see :meth:`ModelChecker._run_vector`) and ``progress`` (every quiescent state is destination oriented — the
   termination/goal condition of link reversal);
 * **counterexample extraction** — predecessor pointers are kept per state,
   and any predicate violation is reconstructed into a replayable
@@ -76,8 +77,9 @@ PROGRESS = "progress"
 _PROGRESS_DETAIL = "quiescent state is not destination oriented"
 
 #: Deferred-acyclicity batch size on the vectorised path: when no other
-#: failure source can interleave, freshly discovered states are buffered
-#: across rounds and Kahn-checked in bulk once this many accumulate.
+#: failure source can interleave, freshly discovered states that the
+#: per-step certificate could not vouch for are buffered across rounds and
+#: Kahn-checked in bulk once this many accumulate.
 _ACYCLIC_BATCH = 4096
 
 
@@ -332,11 +334,15 @@ def _shard_worker_vector(
     """Vector twin of the :func:`_shard_worker` message loop.
 
     Same protocol, but frontier entries travel as ``(sigs, parent_sigs,
-    tokens)`` uint64 array triples instead of per-entry tuples — a token of
-    0 marks the root entry.  One extra message exists: ``("drain",)``
-    flushes the worker's deferred acyclicity buffer and replies with any
-    remaining failures, sent by the parent once the BFS ends and before
-    traces are collected.
+    tokens, certified)`` arrays instead of per-entry tuples — a token of 0
+    marks the root entry.  ``certified`` is the bool acyclicity certificate
+    of each entry (see :meth:`ModelChecker._run_vector`): the expanding
+    worker sets it when the entry's parent is known acyclic and every actor
+    is a source after the step; the owner trusts the bit of a signature's
+    first occurrence and Kahn-checks only uncertified fresh lanes.  One
+    extra message exists: ``("drain",)`` flushes the worker's deferred
+    acyclicity buffer and replies with any remaining failures, sent by the
+    parent once the BFS ends and before traces are collected.
     """
     check_acyclicity = options["check_acyclicity"]
     check_progress = options["check_progress"]
@@ -367,7 +373,7 @@ def _shard_worker_vector(
         kind = message[0]
         try:
             if kind == "round":
-                sigs, parent_sigs, tokens = message[1]
+                sigs, parent_sigs, tokens, certified = message[1]
                 new = transitions = quiescent_count = 0
                 out: Dict[int, Tuple] = {}
                 failures: List[Tuple[Hashable, str, str]] = []
@@ -388,17 +394,20 @@ def _shard_worker_vector(
                     # discovery checks in scalar order: per fresh signature,
                     # acyclicity first, then each predicate
                     events: List[Tuple[int, int, Tuple]] = []
-                    if check_acyclicity:
+                    known_ok = certified[new_first]
+                    residual = np.flatnonzero(~known_ok)
+                    if check_acyclicity and residual.size:
                         if defer_acyclic:
-                            pending.append(fresh)
-                            pending_count += new
+                            pending.append(fresh[residual])
+                            pending_count += int(residual.size)
                             if pending_count >= _ACYCLIC_BATCH:
                                 flush_acyclic(failures)
                         else:
                             good = mask_is_acyclic_batch(
-                                instance, fresh & edge_mask
+                                instance, fresh[residual] & edge_mask
                             )
-                            for k in np.flatnonzero(~good):
+                            known_ok[residual] = good
+                            for k in residual[~good]:
                                 sig = int(fresh[int(k)])
                                 cycle = (
                                     expander.state_for(sig)
@@ -456,6 +465,10 @@ def _shard_worker_vector(
                         routed_sigs = expansion.successors[keep_order]
                         routed_parents = fresh[expansion.parents[keep_order]]
                         routed_tokens = expansion.tokens[keep_order]
+                        routed_certified = (
+                            known_ok[expansion.parents[keep_order]]
+                            & expansion.sources[keep_order]
+                        )
                         owners = shard_of_batch(routed_sigs, shards)
                         keep = np.ones(routed_sigs.size, dtype=bool)
                         mine = owners == index
@@ -472,6 +485,7 @@ def _shard_worker_vector(
                             routed_sigs = routed_sigs[keep]
                             routed_parents = routed_parents[keep]
                             routed_tokens = routed_tokens[keep]
+                            routed_certified = routed_certified[keep]
                             owners = owners[keep]
                         for owner in np.unique(owners):
                             selection = owners == owner
@@ -479,6 +493,7 @@ def _shard_worker_vector(
                                 routed_sigs[selection],
                                 routed_parents[selection],
                                 routed_tokens[selection],
+                                routed_certified[selection],
                             )
                 conn.send((new, transitions, quiescent_count, out, failures))
             elif kind == "probe":
@@ -829,9 +844,30 @@ class ModelChecker:
           transitions/quiescents are only counted up to that point;
         * failure ordering is reconstructed by sorting round events on
           (frontier position, emission position, check index) — the order
-          the scalar loop emits them in.  Acyclicity is Kahn-checked as a
-          batch mask; when no predicate can interleave it is additionally
-          deferred across rounds in :data:`_ACYCLIC_BATCH` buffers.
+          the scalar loop emits them in.
+
+        Acyclicity is paid per change, not per state.  A cycle that appears
+        in one step must use an edge that step flipped, and every flipped
+        edge points out of an actor; an actor that is a source after the
+        step lies on no cycle.  So a new state is **certified** acyclic when
+        its first-emitting parent is *known* acyclic and every actor of its
+        token is a source after the step (the expander's ``sources``
+        column).  FR always certifies: a sink that reverses every incident
+        edge becomes a source.  Only uncertified lanes take the exact path,
+        a batch Kahn peel (``mask_is_acyclic_batch``) — PR lanes whose actor
+        keeps an incoming edge, or children of an unknown parent.  Because
+        certified states are acyclic, skipping them removes no failure, and
+        failure sets and order stay exact.
+
+        "Known acyclic" is a bool per frontier lane: certified, or passed an
+        immediate Kahn check.  When no predicate or progress check can
+        interleave, the Kahn check is deferred across rounds in
+        :data:`_ACYCLIC_BATCH` buffers; a lane still pending there has no
+        verdict yet, so it counts as unknown and its children go to the
+        exact path too.  The initial state is checked at once with the scalar
+        ``mask_is_acyclic``, so deferred mode can certify from the root on.
+        The scalar loop (:meth:`_run_compiled`) keeps a full Kahn check on
+        every state: it is the differential oracle for this bookkeeping.
         """
         expander = self._expander
         vector = self._vector
@@ -875,16 +911,16 @@ class ModelChecker:
                 )
 
         try:
-            if defer_acyclic:
-                pending.append(np.array([initial], dtype=np.uint64))
-                pending_count = 1
-            else:
-                raw_failures.extend(
-                    _discovery_failures(
-                        initial, expander, self.predicates, self.check_acyclicity
-                    )
+            raw_failures.extend(
+                _discovery_failures(
+                    initial, expander, self.predicates, self.check_acyclicity
                 )
+            )
             frontier = np.array([initial], dtype=np.uint64)
+            # known-acyclic bit per frontier lane (see the docstring)
+            frontier_ok = np.array(
+                [not any(failure[1] == ACYCLIC for failure in raw_failures)]
+            )
             depth = 0
             while frontier.size:
                 report.max_depth = depth
@@ -945,15 +981,23 @@ class ModelChecker:
                         frontier[parents[accepted]],
                         expansion.tokens[accepted],
                     )
-                if self.check_acyclicity and new_sigs.size:
-                    if defer_acyclic:
-                        pending.append(new_sigs)
-                        pending_count += int(new_sigs.size)
+                if self.check_acyclicity:
+                    known_ok = (
+                        frontier_ok[parents[accepted]]
+                        & expansion.sources[accepted]
+                    )
+                    residual = np.flatnonzero(~known_ok)
+                    if defer_acyclic and residual.size:
+                        pending.append(new_sigs[residual])
+                        pending_count += int(residual.size)
                         if pending_count >= _ACYCLIC_BATCH:
                             flush_acyclic()
-                    else:
-                        good = mask_is_acyclic_batch(instance, new_sigs & edge_mask)
-                        for k in np.flatnonzero(~good):
+                    elif residual.size:
+                        good = mask_is_acyclic_batch(
+                            instance, new_sigs[residual] & edge_mask
+                        )
+                        known_ok[residual] = good
+                        for k in residual[~good]:
                             position = int(accepted[k])
                             sig = int(new_sigs[k])
                             cycle = expander.state_for(sig).orientation.find_cycle()
@@ -995,6 +1039,8 @@ class ModelChecker:
                     break
                 visited.update_sorted(unique[~known])
                 frontier = new_sigs
+                if self.check_acyclicity:
+                    frontier_ok = known_ok
                 depth += 1
 
             flush_acyclic()
@@ -1185,18 +1231,27 @@ class ModelChecker:
                 initial = expander.canonicalize(initial)
             if vector:
                 report.vectorized = True
+                # the root's certificate is its exact scalar verdict, so a
+                # cyclic root still reaches its owner's exact check
+                root_ok = self.check_acyclicity and mask_is_acyclic(
+                    expander.instance, expander.orientation_mask(initial)
+                )
                 root = (
                     np.array([initial], dtype=np.uint64),
                     np.array([initial], dtype=np.uint64),
                     np.zeros(1, dtype=np.uint64),  # token 0 marks the root
+                    np.array([root_ok]),
                 )
                 buckets: Dict[int, List] = {shard_of(initial, workers): [root]}
-                empty_round = tuple(np.zeros(0, dtype=np.uint64) for _ in range(3))
+                empty_round = (
+                    *(np.zeros(0, dtype=np.uint64) for _ in range(3)),
+                    np.zeros(0, dtype=bool),
+                )
             else:
                 buckets = {shard_of(initial, workers): [(initial, None, None)]}
 
             def round_payload(entries: List):
-                """Concatenate a bucket's array triples into one triple."""
+                """Concatenate a bucket's array tuples into one tuple."""
                 if not entries:
                     return empty_round
                 if len(entries) == 1:
@@ -1254,9 +1309,9 @@ class ModelChecker:
                     report.max_depth = round_index
                 if vector:
                     frontier = sum(
-                        int(triple[0].size)
+                        int(arrays[0].size)
                         for entries in next_buckets.values()
-                        for triple in entries
+                        for arrays in entries
                     )
                 else:
                     frontier = sum(len(entries) for entries in next_buckets.values())

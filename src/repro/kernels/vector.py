@@ -14,7 +14,14 @@ over a ``uint64`` array of packed signatures:
   by construction); NewPR's parity-selected flips and counter increments are
   ``where``/add columns;
 * PR's subset actions group the frontier by sink-set word so each distinct
-  subset is composed once per group instead of once per state.
+  subset is composed once per group instead of once per state;
+* every emitted successor also carries its **acyclicity certificate bit**:
+  whether each of its actors is a source after the step,
+  ``((succ ^ tail_sel[i]) & inc[i]) == inc[i]``.  A new cycle must use a
+  just-flipped edge, every flipped edge leaves an actor, and a source lies
+  on no cycle — so a successor with the bit set is acyclic whenever its
+  parent is.  Acting sinks are pairwise non-adjacent, so a subset's
+  incident masks are disjoint and one OR-ed test covers the whole subset.
 
 **Exactness contract.**  :meth:`VectorExpander.expand` returns successors in
 *exactly* the scalar generation order: for each frontier state (in frontier
@@ -176,16 +183,19 @@ class BatchExpansion:
     ``successors[k]`` is the ``k``-th successor signature the scalar BFS
     would have generated from this frontier, ``parents[k]`` the frontier
     index it came from and ``tokens[k]`` its actor set as a node-id bitmask
-    (:func:`decode_token` recovers the scalar tuple).  ``quiescent`` holds
-    the frontier indices with no enabled action, ascending.
+    (:func:`decode_token` recovers the scalar tuple).  ``sources[k]`` is the
+    certificate bit: every actor of ``tokens[k]`` is a source in
+    ``successors[k]``.  ``quiescent`` holds the frontier indices with no
+    enabled action, ascending.
     """
 
-    __slots__ = ("successors", "parents", "tokens", "quiescent")
+    __slots__ = ("successors", "parents", "tokens", "sources", "quiescent")
 
-    def __init__(self, successors, parents, tokens, quiescent):
+    def __init__(self, successors, parents, tokens, sources, quiescent):
         self.successors = successors
         self.parents = parents
         self.tokens = tokens
+        self.sources = sources
         self.quiescent = quiescent
 
     def __len__(self) -> int:
@@ -205,12 +215,10 @@ class VectorExpander:
         self.instance: LinkReversalInstance = scalar.instance
         cand = scalar._sink_candidates
         self._cand = cand
-        self._inc_col = np.array(
-            [scalar._inc[i] for i in cand], dtype=np.uint64
-        )[None, :]
-        self._tail_col = np.array(
-            [scalar._tail[i] for i in cand], dtype=np.uint64
-        )[None, :]
+        self._inc_of = tuple(np.uint64(scalar._inc[i]) for i in cand)
+        self._tail_of = tuple(np.uint64(scalar._tail[i]) for i in cand)
+        self._inc_col = np.array(self._inc_of, dtype=np.uint64)[None, :]
+        self._tail_col = np.array(self._tail_of, dtype=np.uint64)[None, :]
         self._token = tuple(np.uint64(1 << i) for i in cand)
 
     # -- per-candidate step columns (algorithm-specific) -----------------
@@ -221,38 +229,56 @@ class VectorExpander:
         """``(frontier × candidates)`` bool matrix of the scalar sink test."""
         return ((sigs[:, None] ^ self._tail_col) & self._inc_col) == 0
 
-    def _emit(self, sigs, smat, succ_parts, parent_parts, token_parts) -> None:
+    @staticmethod
+    def _part(successors, lanes, token, inc, tail) -> Tuple:
+        """One emitted column group: successors, parents, tokens, sources."""
+        sources = ((successors ^ tail) & inc) == inc
+        return successors, lanes, np.full(lanes.size, token), sources
+
+    def _emit(self, sigs, smat, parts) -> None:
         """Append candidate-major successor columns (single-actor kernels)."""
         for ci, i in enumerate(self._cand):
             lanes = np.flatnonzero(smat[:, ci])
             if lanes.size == 0:
                 continue
-            succ_parts.append(self._step_many(sigs[lanes], i))
-            parent_parts.append(lanes)
-            token_parts.append(np.full(lanes.size, self._token[ci]))
+            parts.append(
+                self._part(
+                    self._step_many(sigs[lanes], i),
+                    lanes,
+                    self._token[ci],
+                    self._inc_of[ci],
+                    self._tail_of[ci],
+                )
+            )
 
     def expand(self, sigs: "np.ndarray") -> BatchExpansion:
         """Expand a whole frontier; see :class:`BatchExpansion` for the contract."""
         smat = self._sink_matrix(sigs)
         quiescent = np.flatnonzero(~smat.any(axis=1))
-        succ_parts: List = []
-        parent_parts: List = []
-        token_parts: List = []
-        self._emit(sigs, smat, succ_parts, parent_parts, token_parts)
-        if not succ_parts:
+        parts: List[Tuple] = []
+        self._emit(sigs, smat, parts)
+        if not parts:
             empty = np.empty(0, dtype=np.uint64)
             return BatchExpansion(
-                empty, np.empty(0, dtype=np.int64), empty.copy(), quiescent
+                empty,
+                np.empty(0, dtype=np.int64),
+                empty.copy(),
+                np.empty(0, dtype=bool),
+                quiescent,
             )
-        successors = np.concatenate(succ_parts)
-        parents = np.concatenate(parent_parts)
-        tokens = np.concatenate(token_parts)
+        successors, parents, tokens, sources = (
+            np.concatenate(column) for column in zip(*parts)
+        )
         # candidate-major → frontier-major: a stable sort by parent recovers
         # the scalar per-state emission order (candidates were appended
         # ascending, matching sink_ids / combinations order)
         order = np.argsort(parents, kind="stable")
         return BatchExpansion(
-            successors[order], parents[order], tokens[order], quiescent
+            successors[order],
+            parents[order],
+            tokens[order],
+            sources[order],
+            quiescent,
         )
 
 
@@ -261,7 +287,7 @@ class _VectorFullReversal(VectorExpander):
 
     def __init__(self, scalar: FullReversalExpander):
         super().__init__(scalar)
-        self._inc_by_id = {i: np.uint64(scalar._inc[i]) for i in self._cand}
+        self._inc_by_id = dict(zip(self._cand, self._inc_of))
 
     def _step_many(self, sigs, i):
         return sigs ^ self._inc_by_id[i]
@@ -324,9 +350,9 @@ class _VectorPartialReversal(_VectorListKernel):
         self.single_actions_only = scalar.single_actions_only
         self._bit = tuple(np.uint64(1 << ci) for ci in range(len(self._cand)))
 
-    def _emit(self, sigs, smat, succ_parts, parent_parts, token_parts):
+    def _emit(self, sigs, smat, parts):
         if self.single_actions_only:
-            super()._emit(sigs, smat, succ_parts, parent_parts, token_parts)
+            super()._emit(sigs, smat, parts)
             return
         word = np.zeros(sigs.shape[0], dtype=np.uint64)
         for ci in range(len(self._cand)):
@@ -334,6 +360,10 @@ class _VectorPartialReversal(_VectorListKernel):
         uniq, inverse = np.unique(word, return_inverse=True)
         order = np.argsort(inverse, kind="stable")
         bounds = np.searchsorted(inverse[order], np.arange(uniq.size + 1))
+        # acting sinks are pairwise non-adjacent, so their incident masks
+        # are disjoint and summing them is OR-ing them
+        inc = self.scalar._inc
+        tail = self.scalar._tail
         for g in range(uniq.size):
             w = int(uniq[g])
             if w == 0:
@@ -346,11 +376,13 @@ class _VectorPartialReversal(_VectorListKernel):
                     current = base
                     for i in subset:
                         current = self._step_many(current, i)
-                    succ_parts.append(current)
-                    parent_parts.append(lanes)
-                    token_parts.append(
-                        np.full(
-                            lanes.size, np.uint64(sum(1 << i for i in subset))
+                    parts.append(
+                        self._part(
+                            current,
+                            lanes,
+                            np.uint64(sum(1 << i for i in subset)),
+                            np.uint64(sum(inc[i] for i in subset)),
+                            np.uint64(sum(tail[i] for i in subset)),
                         )
                     )
 

@@ -353,3 +353,23 @@ class TestSweepAndReport:
         assert main(["report", "--store", str(store), "--consolidate", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(payload["status_counts"].values()) == 16
+
+    def test_trace_renders_sub_millisecond_histograms(self, tmp_path, capsys):
+        from repro.experiments.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        store.record_telemetry([{
+            "kind": "metrics", "t": 0.0, "counters": {}, "gauges": {},
+            "histograms": {
+                "scenario_wall_s.kernel": {
+                    "count": 3, "total": 0.00042, "min": 0.00009,
+                    "max": 0.00021, "mean": 0.00014,
+                },
+            },
+        }])
+        assert main(["trace", str(store.root)]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "scenario_wall_s.kernel" in line
+        )
+        assert "mean=0.00014 min=9e-05 max=0.00021" in line

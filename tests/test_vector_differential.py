@@ -15,14 +15,20 @@ import numpy as np
 import pytest
 
 from repro.core.full_reversal import FullReversal
+from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
 from repro.exploration.checker import ModelChecker
 from repro.exploration.frontier import VisitedSet
 from repro.kernels.signature import compile_expander, shard_of
-from repro.kernels.vector import compile_vector_expander, shard_of_batch
-from repro.topology.generators import chain_instance, grid_instance
+from repro.kernels.vector import (
+    compile_vector_expander,
+    decode_token,
+    mask_is_acyclic_batch,
+    shard_of_batch,
+)
+from repro.topology.generators import chain_instance, grid_instance, random_dag_instance
 
 ALGORITHM_CLASSES = (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal)
 
@@ -62,6 +68,16 @@ def _failure_keys(report):
         )
         for failure in report.failures
     ]
+
+
+def _cyclic_start_instance():
+    """Initial orientation with the cycle a -> b -> c -> a.  No cycle node
+    can ever become a sink (its cycle successor would have to step first),
+    so every reachable state keeps the cycle: 5 states, 5 acyclicity
+    failures under FR and PR."""
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "f"), ("b", "g"),
+             ("g", "h"), ("f", "h"), ("D", "h")]
+    return LinkReversalInstance.from_directed_edges(list("Dabcfgh"), "D", edges)
 
 
 def _planted_predicates(automaton):
@@ -153,6 +169,38 @@ class TestVectorMatchesScalar:
         with pytest.raises(ValueError, match="vectorized='always'"):
             ModelChecker(NewPartialReversal(instance), vectorized="always")
 
+    def test_certificate_fallback_reports_every_cycle(self):
+        """A cyclic start: no state is certifiable, so every cycle must come
+        back through the exact fallback, in the scalar order."""
+        instance = _cyclic_start_instance()
+        for automaton_class in (FullReversal, PartialReversal):
+            for options in (
+                dict(check_acyclicity=True, check_progress=True),  # immediate
+                dict(check_acyclicity=True),  # deferred across rounds
+            ):
+                scalar = _run(
+                    automaton_class(instance, require_dag=False),
+                    vectorized="never",
+                    **options,
+                )
+                acyclic = [f for f in scalar.failures if f.predicate_name == "acyclic"]
+                assert scalar.states_explored == 5 and len(acyclic) == 5
+                for workers in (1, 2):
+                    batch = _run(
+                        automaton_class(instance, require_dag=False),
+                        vectorized="always",
+                        workers=workers,
+                        **options,
+                    )
+                    assert batch.vectorized
+                    assert _summaries(batch) == _summaries(scalar)
+                    if workers == 1:
+                        assert _failure_keys(batch) == _failure_keys(scalar)
+                    else:
+                        assert sorted(_failure_keys(batch)) == sorted(
+                            _failure_keys(scalar)
+                        )
+
     def test_shard_of_batch_matches_scalar_shard_of(self):
         mersenne = (1 << 61) - 1
         edge_values = [0, 1, mersenne - 1, mersenne, mersenne + 1, (1 << 64) - 1]
@@ -165,6 +213,69 @@ class TestVectorMatchesScalar:
             batch = shard_of_batch(values, shards)
             expected = [shard_of(int(v), shards) for v in values.tolist()]
             assert batch.tolist() == expected
+
+
+# ----------------------------------------------------------------------
+# the acyclicity certificate column
+# ----------------------------------------------------------------------
+def _is_source(instance, mask, node_id):
+    """Naive oracle: no edge of the ``mask`` orientation points at the node."""
+    for e, (tail_id, head_id) in enumerate(instance._edge_node_ids):
+        if (mask >> e) & 1:
+            tail_id, head_id = head_id, tail_id
+        if head_id == node_id:
+            return False
+    return True
+
+
+class TestAcyclicityCertificate:
+    @pytest.mark.parametrize("automaton_class", ALGORITHM_CLASSES)
+    def test_sources_column_on_random_masks(self, automaton_class):
+        if automaton_class is NewPartialReversal:
+            # E + 16·n bits fit one word only for n <= 3: a triangle can cycle
+            instance = LinkReversalInstance.from_directed_edges(
+                [0, 1, 2], 0, [(1, 0), (2, 1), (2, 0)]
+            )
+        else:
+            instance = random_dag_instance(9, edge_probability=0.4, seed=4)
+        expander = compile_expander(automaton_class(instance))
+        vector = compile_vector_expander(expander)
+        assert vector is not None
+        edges = instance.edge_count
+        rng = np.random.default_rng(19)
+        masks = rng.integers(0, 1 << edges, size=400, dtype=np.uint64)
+        if automaton_class in (PartialReversal, OneStepPartialReversal):
+            # PR/OneStepPR: random neighbour-list rows above the mask too
+            lists = rng.integers(0, 1 << (2 * edges), size=400, dtype=np.uint64)
+            masks = masks | (lists << np.uint64(edges))
+        elif automaton_class is NewPartialReversal:
+            # small step counters of either parity above the mask
+            for node in range(instance.node_count):
+                counts = rng.integers(0, 4, size=400, dtype=np.uint64)
+                masks = masks | (counts << np.uint64(edges + 16 * node))
+        edge_mask = np.uint64(expander._edge_mask)
+        expansion = vector.expand(masks)
+        assert expansion.sources.shape == expansion.successors.shape
+        assert expansion.sources.dtype == bool
+        expected = [
+            all(_is_source(instance, succ & expander._edge_mask, i)
+                for i in decode_token(token))
+            for succ, token in zip(
+                expansion.successors.tolist(), expansion.tokens.tolist()
+            )
+        ]
+        assert expansion.sources.tolist() == expected
+        if automaton_class is FullReversal:
+            assert expansion.sources.all()  # a reversing sink becomes a source
+        elif automaton_class is not NewPartialReversal:
+            # partial reversals leave some actors with an incoming edge
+            assert not expansion.sources.all()
+        # the certificate is sound: acyclic parent + source actors → acyclic
+        parent_ok = mask_is_acyclic_batch(instance, masks & edge_mask)
+        child_ok = mask_is_acyclic_batch(instance, expansion.successors & edge_mask)
+        certified = parent_ok[expansion.parents] & expansion.sources
+        assert certified.any() and not parent_ok.all()
+        assert child_ok[certified].all()
 
 
 # ----------------------------------------------------------------------
