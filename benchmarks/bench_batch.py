@@ -1,22 +1,24 @@
-"""Experiment E21 — batched lockstep execution vs the per-scenario kernel path.
+"""Experiment E21 — the memoised chunk path vs per-scenario kernel runs.
 
-The batch engine holds thousands of campaign lanes as parallel arrays and
-steps them in lockstep, sharing compiled kernels and memoising the outcomes
-of deterministic lanes (seedless families ignore the topology seed, so every
-replicate of such a cell is one leader run fanned out to its followers).
-This experiment times the same 6144-run campaign chunk — two families, PR +
-FR, all six mask schedulers, 256 replicates — through ``run_scenarios`` on
-the kernel engine and through ``run_scenarios_batched``, with every cache
-cleared inside each workload so both sides pay cold-start costs.
+``run_scenarios`` puts an outcome memo in front of the kernel engine: a
+run's result fields are a pure function of its outcome key (instance
+structure, algorithm, scheduler, churn model and only the seeds the run
+consumes), so every replicate of a deterministic cell after the first is a
+memo hit, and seed-deterministic families share one compiled kernel.  This
+experiment times the same 6144-run campaign chunk — two families, PR + FR,
+all six mask schedulers, 256 replicates — through ``run_scenarios`` on
+``auto`` and through one ``execute_scenario(..., engine="kernel")`` call
+per spec (the memo-off oracle), with every cache cleared inside each
+workload so both sides pay cold-start costs.
 
-Expected shape: identical records lane for lane (the differential suite pins
-this field by field) and a batch/kernel throughput ratio well above 1; the
-deterministic five-sixths of the lanes collapse to leader runs, so the ratio
-approaches the scheduler mix's dedup ceiling as size grows.  The floor
-asserted here is deliberately conservative (CI boxes are noisy); the measured
-ratio is recorded in ``extra_info`` and tracked across PRs by the
-``bench_batch_sweep`` / ``bench_batch_sweep_kernel`` pair in
-``BENCH_baseline.json``.
+Expected shape: identical records run for run (the differential suite pins
+this field by field) and a memo/oracle throughput ratio well above 1; the
+deterministic five-sixths of the runs collapse to one executed run per
+cell, so the ratio approaches the scheduler mix's dedup ceiling as size
+grows.  The floor asserted here is deliberately conservative (CI boxes are
+noisy); the measured ratio is recorded in ``extra_info`` and tracked across
+PRs by the ``bench_batch_sweep`` / ``bench_batch_sweep_kernel`` pair in
+``BENCH_baseline.json`` (names kept from the retired lockstep engine).
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ from benchmarks._harness import claim_experiment, print_table, record
 
 claim_experiment("E21", __name__)
 
-from repro.experiments.batch_engine import (
-    batch_cache_stats,
-    reset_batch_caches,
-    run_scenarios_batched,
+from repro.experiments.runner import (
+    clear_kernel_caches,
+    execute_scenario,
+    kernel_cache_stats,
+    run_scenarios,
 )
-from repro.experiments.runner import _KERNEL_CACHE, run_scenarios
 from repro.experiments.spec import CampaignSpec
 
-#: Conservative CI floor for the batch/kernel throughput ratio; the measured
+#: Conservative CI floor for the memo/oracle throughput ratio; the measured
 #: value (tracked in BENCH_baseline.json) sits well above this on a quiet box.
 MIN_BATCH_SPEEDUP = 3.0
 
-#: Lanes per campaign cell — the batch width the engine is measured at.
+#: Runs per campaign cell — the chunk width the memo is measured at.
 REPLICATES = 256
 
 
@@ -56,7 +58,7 @@ def _campaign() -> CampaignSpec:
 
 #: The expanded benchmark chunk, built once — spec construction (6144
 #: ``to_dict`` calls, each hashing a run_id) is shared input prep, not engine
-#: work, and neither engine mutates the input dicts.
+#: work, and neither path mutates the input dicts.
 _SPEC_CACHE: list = []
 
 
@@ -67,15 +69,15 @@ def _specs() -> list:
 
 
 def _measure_kernel() -> list:
-    """The per-scenario kernel path over the benchmark chunk, cold caches."""
-    _KERNEL_CACHE.clear()
-    return run_scenarios(_specs(), engine="kernel")
+    """One memo-off ``execute_scenario`` per spec on the kernel engine, cold caches."""
+    clear_kernel_caches()
+    return [execute_scenario(spec, engine="kernel") for spec in _specs()]
 
 
 def _measure_batch() -> list:
-    """The lockstep batched path over the same chunk, cold caches."""
-    reset_batch_caches()
-    return run_scenarios_batched(_specs())
+    """``run_scenarios`` on ``auto`` (outcome memo on) over the same chunk, cold caches."""
+    clear_kernel_caches()
+    return run_scenarios(_specs())
 
 
 def test_e21_batch_vs_kernel(benchmark):
@@ -95,25 +97,25 @@ def test_e21_batch_vs_kernel(benchmark):
     )
 
     lanes = len(batch_records)
-    volatile = ("wall_time_s", "engine")
+    volatile = ("wall_time_s",)
     mismatches = sum(
         1
         for a, b in zip(kernel_records, batch_records)
         if {k: v for k, v in a.items() if k not in volatile}
         != {k: v for k, v in b.items() if k not in volatile}
     )
-    stats = batch_cache_stats()
+    stats = kernel_cache_stats()
     ratio = kernel_s / batch_s if batch_s else 0.0
 
     rows = [
-        ("kernel (per-scenario)", lanes, round(kernel_s, 4),
+        ("execute_scenario (memo off)", lanes, round(kernel_s, 4),
          round(lanes / kernel_s) if kernel_s else 0),
-        ("batch (lockstep)", lanes, round(batch_s, 4),
+        ("run_scenarios (memo on)", lanes, round(batch_s, 4),
          round(lanes / batch_s) if batch_s else 0),
     ]
     print_table(
-        "E21 — batched lockstep vs per-scenario kernel (runs/s)",
-        ["engine path", "lanes", "wall s", "runs/s"],
+        "E21 — memoised chunk vs per-scenario kernel runs (runs/s)",
+        ["path", "runs", "wall s", "runs/s"],
         rows,
     )
     record(
@@ -129,8 +131,8 @@ def test_e21_batch_vs_kernel(benchmark):
     )
     assert lanes == len(kernel_records) == _campaign().run_count
     assert all(r["status"] == "ok" for r in batch_records)
-    assert mismatches == 0, "batch records must match the kernel engine exactly"
+    assert mismatches == 0, "memoised records must match execute_scenario exactly"
     assert ratio >= MIN_BATCH_SPEEDUP, (
-        f"batch engine only {ratio:.2f}x faster than the kernel path "
+        f"memoised chunk only {ratio:.2f}x faster than per-scenario runs "
         f"(floor {MIN_BATCH_SPEEDUP}x)"
     )

@@ -961,10 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
                               help="execution engine for every run: auto picks the "
                                    "compiled kernel fast path whenever the algorithm "
-                                   "has one; batch runs whole chunks of kernel-"
-                                   "eligible cells in lockstep (fastest at high "
-                                   "replicate counts); legacy forces the object-"
-                                   "path oracle")
+                                   "has one; legacy forces the object-path oracle; "
+                                   "batch is a deprecated alias of kernel")
     sweep_parser.add_argument("--store", required=True,
                               help="result store directory (created if missing)")
     sweep_parser.add_argument("--workers", type=int, default=1,

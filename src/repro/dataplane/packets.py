@@ -25,20 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    np = None
-
-
-def numpy_available() -> bool:
-    """Whether the array backend is importable (gates the dataplane engine)."""
-    return np is not None
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - numpy is a baked-in dependency
-        raise ImportError("the packet data plane requires numpy")
+import numpy as np
 
 
 class PacketSimulator:
@@ -81,7 +68,6 @@ class PacketSimulator:
         burst_on: float = 1.0,
         seed: int = 0,
     ):
-        _require_numpy()
         if queue_capacity <= 0 or link_capacity <= 0 or ttl <= 0:
             raise ValueError("queue_capacity, link_capacity and ttl must be positive")
         self.link_from = np.asarray(link_from, dtype=np.int64)

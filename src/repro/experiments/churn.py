@@ -1,11 +1,9 @@
 """Instance re-packing helpers shared by the churn-capable engines.
 
 Link-failure and mobility churn both rebuild a ``LinkReversalInstance``
-mid-scenario while carrying the current edge orientations over; the legacy,
-kernel and batch engines all agree on this re-packing byte for byte, so the
-logic lives here once.  (Moved out of :mod:`repro.experiments.runner` when
-the batch engine arrived — the engines import it without importing each
-other.)
+mid-scenario while carrying the current edge orientations over; the legacy
+and kernel engines agree on this re-packing byte for byte, so the logic
+lives here once.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ import random
 from typing import Dict, Optional
 
 from repro import telemetry as _telemetry
-from repro.dataplane.packets import numpy_available
 from repro.dataplane.run import DataPlaneRun
 from repro.dataplane.traffic import TRAFFIC_MODEL_NAMES
 from repro.distributed.network import DELAY_MODELS
@@ -121,7 +120,6 @@ class DataPlaneEngine(ExecutionEngine):
         return (
             spec.traffic is not None
             and spec.node_faults == 0
-            and numpy_available()
             and spec.algorithm in ASYNC_MODES
             and spec.failure_model in ASYNC_FAILURE_MODELS
         )
@@ -138,8 +136,6 @@ class DataPlaneEngine(ExecutionEngine):
                 f"(node_faults={spec.node_faults}); drop the traffic model and "
                 "use engine='kernel' or 'async'"
             )
-        if not numpy_available():
-            return "the dataplane engine requires numpy"
         if spec.algorithm not in ASYNC_MODES:
             return (
                 f"no height-based message-passing protocol for algorithm "

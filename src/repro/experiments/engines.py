@@ -18,6 +18,12 @@ a :class:`~repro.experiments.spec.ScenarioSpec`:
     to height messages over delayed / lossy / churning links.  Selected by
     giving the spec a ``delay_model``; supports the height-based algorithms
     (``pr`` → partial mode, ``fr`` → full mode).
+``dataplane``
+    Packet forwarding over the churning control plane; selected by giving
+    the spec a ``traffic`` model.
+
+``batch`` is a deprecated alias of ``kernel``, accepted so that existing
+``repro sweep --engine batch`` scripts keep running.
 
 Engines declare which specs they :meth:`~ExecutionEngine.supports`;
 ``resolve_engine("auto", spec)`` picks the highest-priority supporting
@@ -34,14 +40,23 @@ record in place; they must flush partial work tallies even when raising
 
 from __future__ import annotations
 
+import logging
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.experiments.spec import ScenarioSpec
 
+logger = logging.getLogger(__name__)
+
 #: The pseudo-engine name that picks the best supporting engine per spec.
 ENGINE_AUTO = "auto"
+
+#: The retired lockstep engine's name, still accepted on input; runs as ``kernel``.
+DEPRECATED_BATCH = "batch"
+
+#: Whether this process already warned about ``batch`` (one warning each).
+_batch_warned = False
 
 
 class ExecutionEngine(ABC):
@@ -93,8 +108,22 @@ def register_engine(engine: ExecutionEngine, replace: bool = False) -> Execution
 
 
 def engine_names() -> Tuple[str, ...]:
-    """Every selectable engine name (``auto`` first, then the registry)."""
-    return (ENGINE_AUTO, *ENGINE_REGISTRY)
+    """Every selectable engine name (``auto``, the registry, then ``batch``)."""
+    return (ENGINE_AUTO, *ENGINE_REGISTRY, DEPRECATED_BATCH)
+
+
+def canonical_engine(engine: str) -> str:
+    """``engine``, with the deprecated ``batch`` replaced by ``kernel``.
+
+    Logs one warning per process.
+    """
+    global _batch_warned
+    if engine != DEPRECATED_BATCH:
+        return engine
+    if not _batch_warned:
+        _batch_warned = True
+        logger.warning("engine 'batch' is deprecated and runs as 'kernel'")
+    return "kernel"
 
 
 def get_engine(name: str) -> ExecutionEngine:
@@ -113,7 +142,9 @@ def resolve_engine(engine: str, spec: "ScenarioSpec") -> str:
     ``auto`` picks the highest-priority registered engine that supports the
     spec; an explicit engine name must support the spec or a ``ValueError``
     explains why (silently changing semantics is worse than failing).
+    The deprecated ``batch`` resolves like ``kernel``.
     """
+    engine = canonical_engine(engine)
     if engine == ENGINE_AUTO:
         candidates = sorted(
             ENGINE_REGISTRY.values(), key=lambda e: -e.auto_priority

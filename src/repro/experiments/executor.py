@@ -53,20 +53,19 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from collections import OrderedDict
-
 from repro import telemetry as _telemetry
 from repro._mp import fork_preferring_context
 from repro.faults import injector as _injector
 from repro.faults.plan import FAULT_PLAN_ENV, FaultPlan
 from repro.telemetry.metrics import MetricsRegistry
+from repro.experiments.engines import canonical_engine
 from repro.experiments.runner import (
     ENGINE_AUTO,
-    ENGINE_BATCH,
+    RECORD_DEFAULTS,
     kernel_cache_stats,
     run_scenarios,
 )
-from repro.experiments.batch_engine import batch_key
+from repro.experiments.dataplane_engine import _zeroed_packet_fields
 from repro.experiments.spec import CRASH_SENTINEL, CampaignSpec
 from repro.experiments.store import ResultStore
 
@@ -250,20 +249,13 @@ def _crashed_records(chunk: Sequence[Dict[str, Any]], detail: str) -> List[Dict[
     records = []
     for spec in chunk:
         record = dict(spec)
+        record.update(RECORD_DEFAULTS)
         record.update(
-            status="crashed", error=detail, engine=None,
-            node_steps=0, edge_reversals=0, dummy_steps=0, rounds=0, steps_taken=0,
-            converged=False, destination_oriented=False, acyclic_final=False,
-            failures_applied=0, partition_skips=0, reorientations=0, crashed_nodes=0,
-            wall_time_s=0.0, nodes=None, edges=None, bad_nodes=None,
+            status="crashed", error=detail,
             messages_sent=None, messages_delivered=None, messages_lost=None,
             simulated_time=None, events_dispatched=None,
-            slots=0, packets_injected=0, packets_delivered=0,
-            packets_dropped=0, packets_in_flight=0, drop_tail=0, drop_ttl=0,
-            drop_no_route=0, drop_link_down=0, transient_loops=0,
-            peak_queue_depth=0, mean_latency_slots=None,
-            max_latency_slots=None, mean_hops=None, mean_stretch=None,
         )
+        record.update(_zeroed_packet_fields())
         records.append(record)
     return records
 
@@ -280,38 +272,6 @@ def _default_chunk_size(pending: int, workers: int) -> int:
     if pending <= 0:
         return 1
     return max(1, -(-pending // (max(1, workers) * 8)))
-
-
-def _default_batch_chunk_size(pending: int, workers: int) -> int:
-    # batched chunks want the opposite trade-off: the wider a lockstep call,
-    # the more lanes share kernels and deduplicated outcomes, so inline runs
-    # take whole batch-key groups and pooled runs aim for only ~2 chunks per
-    # worker — enough to keep every worker fed without fragmenting batches
-    if pending <= 0:
-        return 1
-    if workers <= 1:
-        return pending
-    return max(1, -(-pending // (workers * 2)))
-
-
-def _batch_aligned_chunks(
-    pending: List[Dict[str, Any]], chunk_size: int
-) -> List[List[Dict[str, Any]]]:
-    """Chunks that never straddle a batch-key boundary.
-
-    Pending runs are grouped by :func:`~repro.experiments.batch_engine.batch_key`
-    (stable first-appearance order, so resumed campaigns chunk the same way)
-    and each group is split on its own — a chunk shipped to a worker is
-    therefore one lockstep batch, never a mixture that the worker would have
-    to re-split into tiny groups.
-    """
-    groups: "OrderedDict[Any, List[Dict[str, Any]]]" = OrderedDict()
-    for spec in pending:
-        groups.setdefault(batch_key(spec), []).append(spec)
-    chunks: List[List[Dict[str, Any]]] = []
-    for group in groups.values():
-        chunks.extend(_chunked(group, chunk_size))
-    return chunks
 
 
 def _pool_context():
@@ -346,19 +306,19 @@ def run_campaign(
         Pool size; ``<= 1`` executes inline without multiprocessing.
     chunk_size:
         Runs per dispatched chunk (default: derived from the pending count
-        and worker count; ``engine="batch"`` prefers far wider chunks).
+        and worker count).
     timeout_s:
         Cooperative per-run wall-clock budget; over-budget runs are recorded
-        with ``status="timeout"`` (shared per chunk under ``engine="batch"``).
+        with ``status="timeout"``.  Setting one also bypasses the kernel
+        engine's outcome memo, so every run earns its own result.
     progress:
         Optional ``callback(done, pending_total)`` invoked after every chunk.
     engine:
         Execution engine for every run (see
         :func:`repro.experiments.runner.execute_scenario`): ``"auto"``
         (default — compiled kernels whenever the spec supports them),
-        ``"kernel"``, ``"legacy"``, ``"async"`` or ``"batch"``.  The batch
-        engine additionally changes chunking: chunks are aligned to batch
-        keys so each one executes as a single lockstep call.
+        ``"kernel"``, ``"legacy"``, ``"async"`` or ``"dataplane"``
+        (``"batch"`` is a deprecated alias of ``"kernel"``).
     telemetry:
         When set (the default), the campaign runs under an enabled
         :mod:`repro.telemetry` session: per-chunk spans, per-run scenario
@@ -386,6 +346,8 @@ def run_campaign(
         executor falls back to per-chunk quarantine pools.
     """
     start = time.perf_counter()
+    # de-alias once here, so pooled workers never each warn about it
+    engine = canonical_engine(engine)
     if fault_plan is not None:
         fault_plan.validate()
         if workers <= 1:
@@ -411,14 +373,9 @@ def run_campaign(
 
     shard = store.new_shard()
     report.shard = str(shard)
-    if engine == ENGINE_BATCH:
-        if chunk_size is None:
-            chunk_size = _default_batch_chunk_size(len(pending), workers)
-        chunks = _batch_aligned_chunks(pending, chunk_size)
-    else:
-        if chunk_size is None:
-            chunk_size = _default_chunk_size(len(pending), workers)
-        chunks = _chunked(pending, chunk_size)
+    if chunk_size is None:
+        chunk_size = _default_chunk_size(len(pending), workers)
+    chunks = _chunked(pending, chunk_size)
 
     logger.info(
         "campaign %s: %d pending of %d runs in %d chunks across %d workers "

@@ -25,7 +25,19 @@ Two execution engines, selected by the ``engine`` argument:
 ``engine="auto"`` (the default) picks ``kernel`` whenever the spec supports
 it.  Per-process :class:`~repro.kernels.simulator.KernelCache` amortises
 topology construction and kernel compilation across the scenarios of a
-worker chunk (campaign cells share paired topology seeds by design).
+worker chunk (campaign cells share paired topology seeds by design); it is
+keyed by :func:`_canonical_key`, so every replicate of a seed-deterministic
+family shares one instance and one compiled kernel.
+
+:func:`run_scenarios` (the executor's chunk entry point) puts an **outcome
+memo** in front of the kernel engine.  A kernel run's result fields are a
+pure function of :func:`_outcome_key` — the instance structure, algorithm,
+scheduler, step bound, churn model, crash-stop count and exactly the seeds
+the run consumes — so a chunk executes each key once and copies the result
+fields into every later record with that key.  The memo is only read and
+written when no per-run timeout is set, and only ``ok`` outcomes are stored.
+:func:`execute_scenario` itself never consults it: it is the memo-off
+oracle the differential suite compares against.
 
 Three execution modes, selected by ``spec.failure_model``:
 
@@ -75,6 +87,7 @@ from repro.experiments.churn import (
 from repro.experiments.engines import (
     ENGINE_AUTO,
     ExecutionEngine,
+    canonical_engine,
     engine_names,
     get_engine,
     register_engine,
@@ -98,7 +111,7 @@ from repro.kernels.simulator import (
     cache_capacity_from_env,
 )
 from repro.schedulers import make_scheduler
-from repro.topology.generators import build_family
+from repro.topology.generators import SEEDLESS_FAMILIES, build_family
 from repro.verification.acyclicity import is_acyclic
 
 logger = logging.getLogger(__name__)
@@ -110,7 +123,6 @@ Node = Hashable
 ENGINE_KERNEL = "kernel"
 ENGINE_LEGACY = "legacy"
 ENGINE_ASYNC = "async"
-ENGINE_BATCH = "batch"
 ENGINE_DATAPLANE = "dataplane"
 
 #: Automata with a compiled signature kernel (mirrors ``compile_expander``).
@@ -119,6 +131,33 @@ _KERNEL_AUTOMATA = (
     OneStepPartialReversal,
     NewPartialReversal,
     FullReversal,
+)
+
+#: Algorithm names with a kernel, precomputed: ``KernelEngine.supports`` runs
+#: once per spec of every chunk, and an ABC ``issubclass`` there is measurable
+#: against the few microseconds a memoised record costs.
+_KERNEL_ALGORITHM_NAMES = frozenset(
+    name
+    for name, factory in ALGORITHM_FACTORIES.items()
+    if isinstance(factory, type) and issubclass(factory, _KERNEL_AUTOMATA)
+)
+
+#: A fresh record's result fields, in record order: what every engine starts
+#: from, what a memo hit rebuilds, and what a crashed chunk reports.
+RECORD_DEFAULTS: Dict[str, Any] = {
+    "status": "ok", "error": None, "engine": None,
+    "nodes": None, "edges": None, "bad_nodes": None,
+    "node_steps": 0, "edge_reversals": 0, "dummy_steps": 0, "rounds": 0,
+    "steps_taken": 0,
+    "converged": False, "destination_oriented": False, "acyclic_final": False,
+    "failures_applied": 0, "partition_skips": 0, "reorientations": 0,
+    "crashed_nodes": 0, "wall_time_s": 0.0,
+}
+
+#: The fields a memoised outcome carries: every result field except the
+#: volatile ``engine`` stamp and ``wall_time_s``.
+_RESULT_FIELDS = tuple(
+    name for name in RECORD_DEFAULTS if name not in ("engine", "wall_time_s")
 )
 
 #: Per-process cache of instances and compiled kernels (see KernelCache).
@@ -136,26 +175,69 @@ _KERNEL_CACHE = KernelCache(
 
 
 def configure_kernel_cache(capacity: int) -> None:
-    """Resize every per-process engine cache (kernel, async, batch, dataplane).
+    """Resize every per-process engine cache (kernel, async, dataplane).
 
     The programmatic twin of the ``REPRO_KERNEL_CACHE_CAPACITY`` environment
     variable; shrinking evicts least-recently-used entries immediately.
     """
     import repro.experiments.async_engine as _async_engine
-    import repro.experiments.batch_engine as _batch_engine
     import repro.experiments.dataplane_engine as _dataplane_engine
 
     _KERNEL_CACHE.set_capacity(capacity)
     _async_engine.set_cache_capacity(capacity)
-    _batch_engine.set_cache_capacity(capacity)
     _dataplane_engine.set_cache_capacity(capacity)
+
+
+def _canonical_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
+    """Cache key identifying a spec's *instance structure*.
+
+    Seed-deterministic families ignore their topology seed, so every
+    replicate collapses onto one key (``None`` marks the collapsed seed).
+    """
+    if spec.family in SEEDLESS_FAMILIES:
+        return (spec.family, spec.size, None)
+    return (spec.family, spec.size, spec.topology_seed)
+
+
+def _outcome_key(spec: ScenarioSpec) -> Tuple[Any, ...]:
+    """Key under which a kernel run's result fields are deterministic.
+
+    Includes every input the result can depend on: the instance structure,
+    algorithm, scheduler and step bound, the churn model, the crash-stop
+    count, and the seeds *only where they are consumed*.  The scheduler seed
+    feeds the ``random`` scheduler and the churn streams (failure choice and
+    repair-phase scheduling both derive from it); the topology seed also
+    drives mobility's waypoint stream and the choice of crash-stopped nodes.
+    Every other scheduler ignores its seed (the mask schedulers' documented
+    contract), so specs differing only in unconsumed seeds share one outcome.
+    """
+    seed_sensitive = spec.scheduler == "random" or spec.failure_count > 0
+    topology_sensitive = spec.failure_model == "mobility" or spec.node_faults > 0
+    return (
+        _canonical_key(spec), spec.algorithm, spec.scheduler, spec.max_steps,
+        spec.failure_model, spec.failure_count, spec.node_faults,
+        spec.scheduler_seed if seed_sensitive else None,
+        spec.topology_seed if topology_sensitive else None,
+    )
+
+
+#: Whole-run outcomes per :func:`_outcome_key` (the fields of
+#: :data:`_RESULT_FIELDS`).  Bounded; cleared, not LRU'd, when full.
+_OUTCOME_MEMO: Dict[Hashable, Dict[str, Any]] = {}
+_OUTCOME_MEMO_CAP = 1024
+
+#: Cumulative memo counters in the shared ``ENGINE_METRICS`` registry: a
+#: *hit* is a record served from the memo, a *miss* a memo-eligible run that
+#: actually executed.
+_OUTCOME_HITS = _telemetry.ENGINE_METRICS.counter("kernel_outcome_hits")
+_OUTCOME_MISSES = _telemetry.ENGINE_METRICS.counter("kernel_outcome_misses")
 
 #: Per-topology bad-node counts (instance-level, so shared across every
 #: algorithm/scheduler cell of a replicate), keyed like the kernel cache.
-_BAD_NODES_MEMO: Dict[Tuple[str, int, int], int] = {}
+_BAD_NODES_MEMO: Dict[Tuple[Any, ...], int] = {}
 
 
-def _bad_node_count(cache_key: Tuple[str, int, int], instance) -> int:
+def _bad_node_count(cache_key: Tuple[Any, ...], instance) -> int:
     count = _BAD_NODES_MEMO.get(cache_key)
     if count is None:
         count = len(instance.bad_nodes())
@@ -168,7 +250,7 @@ def _bad_node_count(cache_key: Tuple[str, int, int], instance) -> int:
 #: Final-state verdicts per (topology key, final mask) — a pure function of
 #: the two, and by confluence every scheduler drives an algorithm on one
 #: topology to the same final orientation, so campaign cells hit constantly.
-_FINAL_CHECK_MEMO: Dict[Tuple[Tuple[str, int, int], int], Tuple[bool, bool]] = {}
+_FINAL_CHECK_MEMO: Dict[Tuple[Tuple[Any, ...], int], Tuple[bool, bool]] = {}
 
 
 def _final_state_checks(cache_key, instance, mask: int) -> Tuple[bool, bool]:
@@ -182,27 +264,38 @@ def _final_state_checks(cache_key, instance, mask: int) -> Tuple[bool, bool]:
     return verdict
 
 
+def clear_kernel_caches() -> None:
+    """Drop the kernel engine's caches and memos (counters are kept).
+
+    Used by the benchmarks to measure cold-cache performance; production
+    campaigns never need this.
+    """
+    _KERNEL_CACHE.clear()
+    _BAD_NODES_MEMO.clear()
+    _FINAL_CHECK_MEMO.clear()
+    _OUTCOME_MEMO.clear()
+
+
 def kernel_cache_stats() -> Dict[str, int]:
     """Cumulative cache counters of this process's per-engine caches.
 
-    The kernel engine's instance/kernel cache plus (``async_``-prefixed) the
-    async engine's instance cache, (``batch_``-prefixed) the batch engine's
-    cache and outcome-dedup counters, and (``dataplane_``-prefixed) the
-    dataplane engine's instance cache, so ``repro sweep --json`` surfaces
-    cache behaviour whichever engine a campaign ran on.
+    The kernel engine's instance/kernel cache and outcome-memo counters
+    (``outcome_hits`` / ``outcome_misses``) plus (``async_``-prefixed) the
+    async engine's and (``dataplane_``-prefixed) the dataplane engine's
+    instance caches, so ``repro sweep --json`` surfaces cache behaviour
+    whichever engine a campaign ran on.
     """
     from repro.experiments.async_engine import instance_cache_stats
-    from repro.experiments.batch_engine import batch_cache_stats
     from repro.experiments.dataplane_engine import (
         instance_cache_stats as dataplane_cache_stats,
     )
 
     stats = dict(_KERNEL_CACHE.stats())
+    stats["outcome_hits"] = _OUTCOME_HITS.value
+    stats["outcome_misses"] = _OUTCOME_MISSES.value
     for name, value in instance_cache_stats().items():
         if name.startswith("instance"):
             stats[f"async_{name}"] = value
-    for name, value in batch_cache_stats().items():
-        stats[f"batch_{name}"] = value
     for name, value in dataplane_cache_stats().items():
         if name.startswith("instance"):
             stats[f"dataplane_{name}"] = value
@@ -211,8 +304,7 @@ def kernel_cache_stats() -> Dict[str, int]:
 
 def algorithm_has_kernel(algorithm: str) -> bool:
     """Whether the named algorithm compiles to a signature kernel."""
-    factory = ALGORITHM_FACTORIES.get(algorithm)
-    return isinstance(factory, type) and issubclass(factory, _KERNEL_AUTOMATA)
+    return algorithm in _KERNEL_ALGORITHM_NAMES
 
 
 def resolve_engine(engine: str, spec: ScenarioSpec) -> str:
@@ -278,8 +370,8 @@ class _RoundObserver:
             self._seen.update(actors)
 
 
-# the churn re-packing helpers live in repro.experiments.churn (shared with
-# the batch engine); the private names remain for in-module readers
+# the churn re-packing helpers live in repro.experiments.churn; the private
+# names remain for in-module readers (and the benchmark's layer spans)
 _surviving_instance_from_edges = surviving_instance_from_edges
 _carried_over_instance = carried_over_instance
 
@@ -290,6 +382,37 @@ def _converge(automaton_factory, instance, scheduler, observers, max_steps):
     return run(
         automaton, scheduler, max_steps=max_steps, observers=observers, record_states=False
     )
+
+
+def _spec_of(raw: Union[ScenarioSpec, Dict[str, Any]]) -> ScenarioSpec:
+    """The spec behind an accepted input (a spec, or its dict form)."""
+    if not isinstance(raw, dict):
+        return raw
+    if "run_id" in raw:
+        # executor-shipped dicts come from to_dict() and carry every field;
+        # positional construction skips from_dict's filtering dictcomp
+        try:
+            return ScenarioSpec(
+                raw["family"], raw["size"], raw["algorithm"], raw["scheduler"],
+                raw["topology_seed"], raw["scheduler_seed"], raw["replicate"],
+                raw["failure_model"], raw["failure_count"], raw["max_steps"],
+                raw["campaign"], raw["delay_model"], raw["loss"], raw["traffic"],
+                raw.get("node_faults", 0),
+            )
+        except KeyError:
+            pass
+    return ScenarioSpec.from_dict(raw)
+
+
+def _record_of(
+    raw: Union[ScenarioSpec, Dict[str, Any]], spec: ScenarioSpec
+) -> Dict[str, Any]:
+    """A record holding the spec fields of ``raw`` (result fields not yet set)."""
+    if isinstance(raw, dict) and "run_id" in raw:
+        # an executor-shipped dict is exactly spec.to_dict() output: reuse it
+        # instead of re-deriving the content-hash run_id per run
+        return dict(raw)
+    return spec.to_dict()
 
 
 def execute_scenario(
@@ -305,30 +428,31 @@ def execute_scenario(
     field says which execution path produced it (``None`` when the run
     failed before an engine was selected).
     """
-    if isinstance(spec, dict):
-        # an executor-shipped dict is exactly spec.to_dict() output: reuse it
-        # instead of re-deriving the content-hash run_id per run
-        record: Dict[str, Any] = (
-            dict(spec) if "run_id" in spec else ScenarioSpec.from_dict(spec).to_dict()
-        )
-        spec = ScenarioSpec.from_dict(spec)
-    else:
-        record = spec.to_dict()
-    record.update(
-        status="ok", error=None, engine=None,
-        nodes=None, edges=None, bad_nodes=None,
-        node_steps=0, edge_reversals=0, dummy_steps=0, rounds=0, steps_taken=0,
-        converged=False, destination_oriented=False, acyclic_final=False,
-        failures_applied=0, partition_skips=0, reorientations=0,
-        crashed_nodes=0, wall_time_s=0.0,
-    )
+    raw = spec
+    spec = _spec_of(raw)
+    return _execute(spec, _record_of(raw, spec), timeout_s, engine)
 
+
+def _execute(
+    spec: ScenarioSpec,
+    record: Dict[str, Any],
+    timeout_s: Optional[float],
+    engine: str,
+    chosen: Optional[ExecutionEngine] = None,
+) -> Dict[str, Any]:
+    """:func:`execute_scenario` on a built spec and its spec-field record.
+
+    ``chosen`` is an engine the caller already validated the spec against;
+    it skips validation and engine resolution.
+    """
+    record.update(RECORD_DEFAULTS)
     start = time.perf_counter()
     deadline = None if timeout_s is None else start + timeout_s
 
     try:
-        spec.validate()
-        chosen = get_engine(resolve_engine(engine, spec))
+        if chosen is None:
+            spec.validate()
+            chosen = get_engine(resolve_engine(engine, spec))
         record["engine"] = chosen.name
         chosen.execute(spec, record, deadline)
     except DeadlineExceeded as exc:
@@ -339,15 +463,34 @@ def execute_scenario(
             "scenario %s failed on engine %s", record.get("run_id"),
             record.get("engine"), exc_info=exc,
         )
-
-    record["wall_time_s"] = wall_s = round(time.perf_counter() - start, 6)
-    if _telemetry.ENABLED:
-        registry = _telemetry.REGISTRY
-        engine_used = record["engine"] or "none"
-        registry.inc(f"scenarios.{engine_used}")
-        registry.inc(f"scenario_status.{record['status']}")
-        registry.observe(f"scenario_wall_s.{engine_used}", wall_s)
+    _finish(record, start)
     return record
+
+
+def _finish(
+    record: Dict[str, Any], start: float, deferred: Optional[List[float]] = None
+) -> None:
+    """Stamp a finished record's ``wall_time_s`` and count the run in telemetry.
+
+    Given ``deferred``, the wall time is appended there instead, for the
+    caller to count a whole chunk's runs in one :func:`_count_runs`.
+    """
+    record["wall_time_s"] = wall_s = round(time.perf_counter() - start, 6)
+    if deferred is not None:
+        deferred.append(wall_s)
+    elif _telemetry.ENABLED:
+        _count_runs(record["engine"], record["status"], (wall_s,))
+
+
+def _count_runs(engine_used: Optional[str], status: str, walls) -> None:
+    """Per-run telemetry for ``len(walls)`` runs of one engine and status."""
+    registry = _telemetry.REGISTRY
+    engine_used = engine_used or "none"
+    registry.inc(f"scenarios.{engine_used}", len(walls))
+    registry.inc(f"scenario_status.{status}", len(walls))
+    histogram = registry.histogram(f"scenario_wall_s.{engine_used}")
+    for wall_s in walls:
+        histogram.observe(wall_s)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +506,7 @@ def _compiled_simulator(automaton_factory, instance) -> SignatureSimulator:
 
 def _execute_kernel_scenario(spec, record, work, rounds, deadline) -> None:
     """Run one scenario entirely on the compiled int kernels."""
-    cache_key = (spec.family, spec.size, spec.topology_seed)
+    cache_key = _canonical_key(spec)
     instance = _KERNEL_CACHE.instance(
         cache_key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
     )
@@ -517,7 +660,7 @@ def _execute_legacy_scenario(spec, record, work, rounds, deadline) -> None:
     if deadline is not None:
         observers = observers + (_DeadlineObserver(deadline),)
 
-    cache_key = (spec.family, spec.size, spec.topology_seed)
+    cache_key = _canonical_key(spec)
     instance = _KERNEL_CACHE.instance(
         cache_key, lambda: build_family(spec.family, spec.size, spec.topology_seed)
     )
@@ -648,7 +791,7 @@ class KernelEngine(ExecutionEngine):
         return (
             spec.delay_model is None
             and spec.traffic is None
-            and algorithm_has_kernel(spec.algorithm)
+            and spec.algorithm in _KERNEL_ALGORITHM_NAMES
             and spec.scheduler in MASK_SCHEDULER_FACTORIES
         )
 
@@ -723,15 +866,14 @@ class LegacyEngine(ExecutionEngine):
             )
 
 
-register_engine(KernelEngine())
+_KERNEL_ENGINE = register_engine(KernelEngine())
 register_engine(LegacyEngine())
 
-# registering the async and batch engines is a side effect of importing their
-# modules; they live in their own modules because they build on subsystems
-# (repro.distributed, repro.kernels.batch) the synchronous per-scenario
-# engines never touch
+# registering the async and dataplane engines is a side effect of importing
+# their modules; they live in their own modules because they build on
+# subsystems (repro.distributed, repro.dataplane) the synchronous engines
+# never touch
 import repro.experiments.async_engine  # noqa: E402,F401  (registration import)
-import repro.experiments.batch_engine  # noqa: E402,F401  (registration import)
 import repro.experiments.dataplane_engine  # noqa: E402,F401  (registration import)
 
 #: Engine names accepted by :func:`execute_scenario` / ``repro sweep --engine``.
@@ -739,30 +881,74 @@ ENGINE_CHOICES = engine_names()
 
 
 def run_scenarios(
-    specs: List[Dict[str, Any]],
+    specs: List[Union[ScenarioSpec, Dict[str, Any]]],
     timeout_s: Optional[float] = None,
     engine: str = ENGINE_AUTO,
     beat: Optional[Callable[[], None]] = None,
 ) -> List[Dict[str, Any]]:
-    """Execute a chunk of scenario dicts (the worker entry point).
+    """Execute a chunk of scenarios, one record per spec in input order.
 
-    ``engine="batch"`` routes the whole chunk through
-    :func:`repro.experiments.batch_engine.run_scenarios_batched`, which
-    groups it by batch key and runs each group in lockstep; every other
-    engine executes the chunk one scenario at a time.  ``beat``, when given,
-    is invoked before every scenario (once per chunk for ``batch``) — the
-    executor's watchdog heartbeat, so a hung scenario is distinguishable
-    from a long chunk.
+    The worker entry point.  Every spec runs through :func:`execute_scenario`
+    except that, when ``timeout_s`` is ``None`` and ``engine`` is ``auto`` or
+    ``kernel``, a spec the kernel engine supports first consults the outcome
+    memo (see the module docstring): a hit copies the stored result fields
+    into a fresh record stamped ``engine="kernel"`` with its own
+    ``wall_time_s``; a miss executes and stores its result fields if the run
+    ended ``ok``.  Records are field-for-field those of ``execute_scenario``
+    apart from ``wall_time_s``.  ``beat``, when given, is invoked before
+    every scenario — the executor's watchdog heartbeat, so a hung scenario
+    is distinguishable from a long chunk.
     """
-    if engine == ENGINE_BATCH:
+    engine = canonical_engine(engine)
+    memo_on = timeout_s is None and engine in (ENGINE_AUTO, ENGINE_KERNEL)
+    records: List[Dict[str, Any]] = []
+    hit_walls: List[float] = []
+    for raw in specs:
         if beat is not None:
             beat()
-        from repro.experiments.batch_engine import run_scenarios_batched
-
-        return run_scenarios_batched(specs, timeout_s=timeout_s)
-    records = []
-    for spec in specs:
-        if beat is not None:
-            beat()
-        records.append(execute_scenario(spec, timeout_s=timeout_s, engine=engine))
+        start = time.perf_counter()
+        entry = _memo_entry(raw) if memo_on else None
+        if entry is None:
+            records.append(execute_scenario(raw, timeout_s=timeout_s, engine=engine))
+            continue
+        key, spec, outcome = entry
+        record = _record_of(raw, spec)
+        if outcome is None:
+            _OUTCOME_MISSES.inc()
+            _execute(spec, record, None, engine, chosen=_KERNEL_ENGINE)
+            if record["status"] == "ok":
+                if len(_OUTCOME_MEMO) >= _OUTCOME_MEMO_CAP:
+                    _OUTCOME_MEMO.clear()
+                _OUTCOME_MEMO[key] = {name: record[name] for name in _RESULT_FIELDS}
+        else:
+            record.update(RECORD_DEFAULTS)
+            record.update(outcome)
+            record["engine"] = ENGINE_KERNEL
+            _finish(record, start, deferred=hit_walls)
+        records.append(record)
+    if hit_walls:
+        _OUTCOME_HITS.inc(len(hit_walls))
+        if _telemetry.ENABLED:
+            _count_runs(ENGINE_KERNEL, "ok", hit_walls)  # only ok outcomes are memoised
     return records
+
+
+def _memo_entry(raw):
+    """``(outcome key, spec, memoised outcome or None)`` for a memo-eligible spec.
+
+    ``None`` when the kernel engine would not run the spec (or it is
+    invalid): such specs go straight to :func:`execute_scenario`.
+    """
+    if isinstance(raw, dict) and (
+        raw.get("delay_model") is not None or raw.get("traffic") is not None
+    ):
+        return None  # async / data-plane specs skip the spec build entirely
+    spec = _spec_of(raw)
+    try:
+        spec.validate()
+    except Exception:  # noqa: BLE001 — execute_scenario records the error
+        return None
+    if not _KERNEL_ENGINE.supports(spec):
+        return None
+    key = _outcome_key(spec)
+    return key, spec, _OUTCOME_MEMO.get(key)

@@ -38,10 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-try:  # the vectorised frontier path needs numpy; scalar paths do not
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry as _telemetry
 from repro._mp import fork_preferring_context

@@ -39,10 +39,7 @@ import struct
 from pathlib import Path
 from typing import Iterator, List, Optional
 
-try:  # batch layers need numpy; the scalar set/spill path works without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.kernels.signature import (  # noqa: F401 — historical import surface
     _COUNT_BITS,
@@ -324,9 +321,7 @@ class VisitedSet:
         self._run_seq = 0
         self.spill_count = 0
         self.compaction_count = 0
-        self._delta_format = (
-            np is not None and (key_bytes is None or key_bytes <= 8)
-        )
+        self._delta_format = key_bytes is None or key_bytes <= 8
 
     # -- scalar membership ----------------------------------------------
     def add(self, sig) -> bool:
@@ -416,8 +411,6 @@ class VisitedSet:
         where the scalar ``add`` would have returned ``True`` (the *first*
         occurrence of a signature not previously present).
         """
-        if np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("the batch VisitedSet API requires numpy")
         values = np.ascontiguousarray(values, dtype=np.uint64)
         unique, first_index, inverse = np.unique(
             values, return_index=True, return_inverse=True

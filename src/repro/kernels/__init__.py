@@ -53,7 +53,6 @@ from repro.kernels.schedulers import (
     MaskScheduler,
     make_mask_scheduler,
 )
-from repro.kernels.batch import BatchLaneOutcome, BatchSimulator
 from repro.kernels.vector import (
     BatchExpansion,
     VectorExpander,
@@ -74,8 +73,6 @@ from repro.kernels.simulator import (
 
 __all__ = [
     "BatchExpansion",
-    "BatchLaneOutcome",
-    "BatchSimulator",
     "FullReversalExpander",
     "VectorExpander",
     "compile_vector_expander",

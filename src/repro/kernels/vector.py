@@ -43,10 +43,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-try:  # numpy is required for the batch path only; everything degrades to scalar
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.graph import LinkReversalInstance
 from repro.kernels.signature import (
@@ -418,7 +415,7 @@ def compile_vector_expander(
     (``degree <= {deg}``).  NewPR's ``E + {cb}·n`` bit layout therefore only
     vectorises on toy instances, by design.
     """
-    if np is None or scalar is None:
+    if scalar is None:
         return None
     if scalar.signature_bits > 64 or scalar.instance.node_count > 64:
         return None

@@ -39,9 +39,9 @@ FAMILY_NAMES = (
 )
 
 #: Families whose :func:`build_family` output ignores the seed — every
-#: replicate of a ``(family, size)`` cell is the *same* instance.  The batch
-#: engine keys its instance/kernel cache on this, sharing one compiled
-#: kernel across all replicate lanes; keep this set in sync with the
+#: replicate of a ``(family, size)`` cell is the *same* instance.  The kernel
+#: engine keys its instance/kernel cache and outcome memo on this, sharing
+#: one compiled kernel across all replicates; keep this set in sync with the
 #: dispatch below (a family belongs here iff its branch never reads ``seed``).
 SEEDLESS_FAMILIES = frozenset({"chain", "oriented-chain", "star", "grid"})
 

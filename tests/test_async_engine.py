@@ -26,6 +26,7 @@ from repro.distributed.network import DELAY_MODELS
 from repro.distributed.protocol import ReversalMode
 from repro.experiments.async_engine import ASYNC_MODES, AsyncEngine
 from repro.experiments.engines import (
+    DEPRECATED_BATCH,
     ENGINE_REGISTRY,
     engine_names,
     get_engine,
@@ -34,7 +35,6 @@ from repro.experiments.engines import (
 from repro.experiments.executor import run_campaign
 from repro.experiments.runner import (
     ENGINE_ASYNC,
-    ENGINE_BATCH,
     ENGINE_CHOICES,
     ENGINE_DATAPLANE,
     ENGINE_KERNEL,
@@ -71,12 +71,12 @@ def _spec(**overrides):
 class TestRegistry:
     def test_registry_names(self):
         assert set(ENGINE_REGISTRY) == {
-            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_BATCH,
-            ENGINE_DATAPLANE,
+            ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_DATAPLANE,
         }
+        # the deprecated alias stays selectable, after the real engines
         assert engine_names() == (
-            "auto", ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC, ENGINE_BATCH,
-            ENGINE_DATAPLANE,
+            "auto", ENGINE_KERNEL, ENGINE_LEGACY, ENGINE_ASYNC,
+            ENGINE_DATAPLANE, DEPRECATED_BATCH,
         )
         assert ENGINE_CHOICES == engine_names()
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.executor import CRASH_SENTINEL, run_campaign
+from repro.experiments.executor import (
+    CRASH_SENTINEL,
+    _crashed_records,
+    _default_chunk_size,
+    run_campaign,
+)
 from repro.experiments.runner import execute_scenario
 from repro.experiments.spec import CampaignSpec, ScenarioSpec, derive_seed
 from repro.experiments.store import ResultStore
@@ -187,3 +192,38 @@ class TestRunCampaign:
         report = run_campaign(campaign, store, workers=1, timeout_s=0.0)
         assert report.timeouts == 1
         assert store.records()[0]["status"] == "timeout"
+
+    def test_kernel_timeout_record_keeps_partial_tallies(self):
+        spec = _spec(family="chain", size=40, algorithm="pr").to_dict()
+        record = execute_scenario(spec, timeout_s=0.0, engine="kernel")
+        assert record["status"] == "timeout"
+        assert record["engine"] == "kernel"
+        assert record["error"] == "deadline exceeded at step 0"
+        assert record["node_steps"] >= 1  # the aborted step's work is kept
+        assert record["steps_taken"] == 0  # but not counted as completed
+        assert record["converged"] is False
+
+    def test_chunk_sizes_derive_from_workload(self):
+        # sizing scales with the pending count instead of a fixed cap
+        assert _default_chunk_size(10_000, workers=4) == 313
+        assert _default_chunk_size(10, workers=4) == 1
+
+    def test_crashed_record_schema_is_pinned(self):
+        spec = _spec(family="grid", size=9).to_dict()
+        record = _crashed_records([spec], "worker died")[0]
+        expected = dict(spec)
+        expected.update(
+            status="crashed", error="worker died", engine=None,
+            node_steps=0, edge_reversals=0, dummy_steps=0, rounds=0, steps_taken=0,
+            converged=False, destination_oriented=False, acyclic_final=False,
+            failures_applied=0, partition_skips=0, reorientations=0, crashed_nodes=0,
+            wall_time_s=0.0, nodes=None, edges=None, bad_nodes=None,
+            messages_sent=None, messages_delivered=None, messages_lost=None,
+            simulated_time=None, events_dispatched=None,
+            slots=0, packets_injected=0, packets_delivered=0,
+            packets_dropped=0, packets_in_flight=0, drop_tail=0, drop_ttl=0,
+            drop_no_route=0, drop_link_down=0, transient_loops=0,
+            peak_queue_depth=0, mean_latency_slots=None,
+            max_latency_slots=None, mean_hops=None, mean_stretch=None,
+        )
+        assert record == expected

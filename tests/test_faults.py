@@ -246,7 +246,7 @@ class TestNodeFaultsAxis:
         assert resolve_engine(
             ENGINE_AUTO, self._spec(delay_model="fixed", node_faults=2)
         ) == "async"
-        for name in ("batch", "legacy", "dataplane"):
+        for name in ("legacy", "dataplane"):
             engine = get_engine(name)
             spec = self._spec(node_faults=2)
             assert not engine.supports(spec)
