@@ -94,8 +94,9 @@ def _baseline_workloads():
         "bench_sweep_1worker": _measure_1worker,
         "bench_sweep_pool": _measure_pool,
         # the model-check pair shares one verification workload: their
-        # timing ratio is the vectorised frontier's speedup over the scalar
-        # per-state loop (differentially pinned to identical counts)
+        # timing ratio is the vectorised frontier's expansion and dedup
+        # speedup over the scalar per-state loop (differentially pinned to
+        # identical counts; both certify acyclicity per step)
         "bench_model_check": _measure_model_check,
         "bench_model_check_scalar": _measure_model_check_scalar,
         "bench_async_quiescence": _measure_async,

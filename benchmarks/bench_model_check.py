@@ -8,12 +8,15 @@ grid — 126 534 reachable orientations, 673 524 transitions — once through
 the vectorised frontier path (``vectorized="always"``: whole BFS rounds as
 numpy column ops) and once through the scalar per-state loop
 (``vectorized="never"``).  Both engines are differentially pinned to
-identical counts (also asserted here), so their timing ratio is pure
-engine speedup on the same verification.
+identical counts (also asserted here), and both pay for acyclicity per
+change: a state is Kahn-checked only when the per-step certificate cannot
+vouch for it, which on FR leaves just the root.  Their timing ratio is
+therefore expansion and dedup speed only, on the same verification.
 
 The tracked ``bench_model_check`` baseline entry is the vectorised half;
 ``bench_model_check_scalar`` is the scalar twin on the same workload, so
-the pair's ratio in BENCH_baseline.json is the batch engine's speedup.
+the pair's ratio in BENCH_baseline.json is the batch engine's expansion
+and dedup speedup.  Both entries are watched by the regression gate.
 For scale context (not CI-timed): the vectorised engine exhausts the 5×6
 grid — 2 068 146 states — in a few seconds single-process, while the
 legacy state-materialising :class:`~repro.exploration.state_space
@@ -109,6 +112,7 @@ def test_e19_model_check_throughput(benchmark):
         speedup_vs_scalar=round(scalar_s / vector_s, 2) if vector_s else 0.0,
     )
     assert vector["transitions"] > vector["states"]
-    # identical verification, so the ratio is pure engine speedup; keep a
-    # conservative floor so a vector-path regression trips even on a busy box
+    # identical verification, so the ratio is expansion and dedup speed only;
+    # keep a conservative floor so a vector-path regression trips even on a
+    # busy box
     assert vector_s < scalar_s

@@ -7,9 +7,10 @@ state materialisation on the hot path), and offers:
 
 * **per-state invariant hooks** — the bundles from
   :mod:`repro.verification.invariants` plus two built-in signature-level
-  checks: ``acyclic`` (Theorems 4.3/5.5, checked with a mask-only Kahn scan,
-  or on the vectorised paths certified per step where the step allows it —
-  see :meth:`ModelChecker._run_vector`) and ``progress`` (every quiescent state is destination oriented — the
+  checks: ``acyclic`` (Theorems 4.3/5.5; on every compiled path certified
+  per step where the step allows it, and otherwise checked with a
+  mask-only Kahn scan — see :meth:`ModelChecker._run_vector`) and
+  ``progress`` (every quiescent state is destination oriented — the
   termination/goal condition of link reversal);
 * **counterexample extraction** — predecessor pointers are kept per state,
   and any predicate violation is reconstructed into a replayable
@@ -199,6 +200,13 @@ def _discovery_failures(
     return failures
 
 
+def _kahn_passed(failures: List[Tuple[Hashable, str, str]], checked: bool) -> bool:
+    """Whether a :func:`_discovery_failures` call that ran the Kahn check
+    (``checked``) found the state acyclic — the acyclicity failure, when
+    present, is always the first one."""
+    return checked and not (failures and failures[0][1] == ACYCLIC)
+
+
 # ----------------------------------------------------------------------
 # sharded worker process
 # ----------------------------------------------------------------------
@@ -214,11 +222,17 @@ def _shard_worker(
 
     Protocol (parent → worker, worker replies on the same pipe):
 
-    * ``("round", entries)`` — ``entries`` are ``(sig, parent_sig, token)``
-      triples routed to this shard.  The worker dedups them against its
-      visited set, records predecessor pointers, runs the discovery checks,
-      expands the fresh signatures and replies with
+    * ``("round", entries)`` — ``entries`` are ``(sig, parent_sig, token,
+      certified)`` tuples routed to this shard.  The worker dedups them
+      against its visited set, records predecessor pointers, runs the
+      discovery checks, expands the fresh signatures and replies with
       ``(new, transitions, quiescent, out_by_owner, failures)``.
+      ``certified`` is the per-step acyclicity certificate (see
+      :meth:`ModelChecker._run_compiled`): the expanding worker sets it when
+      the parent is known acyclic and every actor is a source after the
+      step, and the owner Kahn-checks only fresh uncertified entries.  Any
+      acyclic parent gives a sound certificate, so it does not matter
+      which emission of a signature arrives first.
     * ``("probe", entries)`` — read-only: replies with how many entries are
       genuinely new (absent from the visited set, deduped within the batch)
       *without* inserting them, so the visited set keeps matching
@@ -261,21 +275,24 @@ def _shard_worker(
         try:
             if kind == "round":
                 new = transitions = quiescent = 0
-                out: Dict[int, List[Tuple[Hashable, Hashable, Tuple[int, ...]]]] = {}
+                out: Dict[int, List[Tuple[Hashable, Hashable, Tuple[int, ...], bool]]] = {}
                 failures: List[Tuple[Hashable, str, str]] = []
-                fresh: List[Hashable] = []
-                for sig, parent, token in message[1]:
+                fresh: List[Tuple[Hashable, bool]] = []
+                for sig, parent, token, certified in message[1]:
                     if not visited.add(sig):
                         continue
                     if predecessors is not None:
                         predecessors[sig] = (parent, token)
                     new += 1
-                    fresh.append(sig)
-                    failures.extend(
-                        _discovery_failures(sig, expander, predicates, check_acyclicity)
+                    found = _discovery_failures(
+                        sig, expander, predicates, check_acyclicity and not certified
+                    )
+                    failures.extend(found)
+                    fresh.append(
+                        (sig, certified or _kahn_passed(found, check_acyclicity))
                     )
                 routed: set = set()  # round-local dedup of outgoing frontier entries
-                for sig in fresh:
+                for sig, sig_ok in fresh:
                     successors = expander.successors(sig)
                     if not successors:
                         quiescent += 1
@@ -284,21 +301,25 @@ def _shard_worker(
                         ):
                             failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
                         continue
-                    for token, successor in successors:
+                    for token, raw in successors:
                         transitions += 1
-                        if symmetry:
-                            successor = expander.canonicalize(successor)
+                        successor = expander.canonicalize(raw) if symmetry else raw
                         if successor in routed:
                             continue
                         owner = shard_of(successor, shards)
                         if owner == index and successor in visited:
                             continue
                         routed.add(successor)
-                        out.setdefault(owner, []).append((successor, sig, token))
+                        # certificate on the raw successor: the token's
+                        # actor ids name its nodes, not the canonical ones
+                        certified = sig_ok and expander.actors_are_sources(raw, token)
+                        out.setdefault(owner, []).append(
+                            (successor, sig, token, certified)
+                        )
                 conn.send((new, transitions, quiescent, out, failures))
             elif kind == "probe":
                 batch: set = set()
-                for sig, _parent, _token in message[1]:
+                for sig, _parent, _token, _certified in message[1]:
                     if sig not in visited:
                         batch.add(sig)
                 conn.send(len(batch))
@@ -752,7 +773,25 @@ class ModelChecker:
     # single-process compiled path
     # ------------------------------------------------------------------
     def _run_compiled(self, report: CheckReport) -> None:
+        """Per-state BFS over int signatures, scalar.
+
+        Acyclicity is paid per change, with the certificate of
+        :meth:`_run_vector`: a new state is certified acyclic when its
+        parent is known acyclic and every actor of its token is a source
+        after the step (:meth:`SignatureExpander.actors_are_sources`).  Each
+        queue entry carries its state's known-acyclic bit, which its
+        children's certificates read; the Kahn check is never deferred
+        here, so the bit is exact for every state.  Only uncertified
+        states are Kahn-checked, and predicates still run on certified
+        ones, so failure sets and order are unchanged.  Under
+        symmetry the certificate is taken on the raw successor, before
+        :meth:`~SignatureExpander.canonicalize` relabels twin nodes (the
+        token's actor ids name nodes of the raw successor; a twin
+        permutation is a graph automorphism, so the verdict carries over).
+        """
         expander = self._expander
+        predicates = self.predicates
+        check_acyclicity = self.check_acyclicity
         initial = expander.initial_signature()
         if self.symmetry:
             initial = expander.canonicalize(initial)
@@ -767,13 +806,14 @@ class ModelChecker:
         predecessors: Optional[Dict] = {initial: (None, None)} if self.track_traces else None
         try:
             raw_failures = _discovery_failures(
-                initial, expander, self.predicates, self.check_acyclicity
+                initial, expander, predicates, check_acyclicity
             )
 
             queue: deque = deque()
-            queue.append((initial, 0))
+            # entries: (signature, depth, known-acyclic bit)
+            queue.append((initial, 0, _kahn_passed(raw_failures, check_acyclicity)))
             while queue:
-                sig, depth = queue.popleft()
+                sig, depth, sig_ok = queue.popleft()
                 if depth > report.max_depth:
                     report.max_depth = depth
                     if _telemetry.ENABLED:
@@ -789,10 +829,9 @@ class ModelChecker:
                     ):
                         raw_failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
                     continue
-                for token, successor in successors:
+                for token, raw in successors:
                     report.transitions_explored += 1
-                    if self.symmetry:
-                        successor = expander.canonicalize(successor)
+                    successor = expander.canonicalize(raw) if self.symmetry else raw
                     if report.states_explored >= self.max_states:
                         # at the cap, mirror the legacy explorer exactly: a
                         # pure membership probe (no insertion) so that any
@@ -809,12 +848,17 @@ class ModelChecker:
                     report.states_explored += 1
                     if predecessors is not None:
                         predecessors[successor] = (sig, token)
-                    raw_failures.extend(
-                        _discovery_failures(
-                            successor, expander, self.predicates, self.check_acyclicity
+                    known_ok = sig_ok and expander.actors_are_sources(raw, token)
+                    if predicates or (check_acyclicity and not known_ok):
+                        failures = _discovery_failures(
+                            successor,
+                            expander,
+                            predicates,
+                            check_acyclicity and not known_ok,
                         )
-                    )
-                    queue.append((successor, depth + 1))
+                        raw_failures.extend(failures)
+                        known_ok = known_ok or _kahn_passed(failures, check_acyclicity)
+                    queue.append((successor, depth + 1, known_ok))
 
             report.spilled = visited.spilled_runs > 0
             report.spill_stats = visited.stats
@@ -863,8 +907,11 @@ class ModelChecker:
         verdict yet, so it counts as unknown and its children go to the
         exact path too.  The initial state is checked at once with the scalar
         ``mask_is_acyclic``, so deferred mode can certify from the root on.
-        The scalar loop (:meth:`_run_compiled`) keeps a full Kahn check on
-        every state: it is the differential oracle for this bookkeeping.
+        The scalar loops (:meth:`_run_compiled`, :func:`_shard_worker`)
+        certify the same way, so neither is an oracle for this bookkeeping:
+        the legacy :class:`~repro.exploration.state_space.StateSpaceExplorer`
+        with an ``is_acyclic`` predicate, and the naive per-lane source
+        check of the certificate tests, are.
         """
         expander = self._expander
         vector = self._vector
@@ -916,7 +963,7 @@ class ModelChecker:
             frontier = np.array([initial], dtype=np.uint64)
             # known-acyclic bit per frontier lane (see the docstring)
             frontier_ok = np.array(
-                [not any(failure[1] == ACYCLIC for failure in raw_failures)]
+                [_kahn_passed(raw_failures, self.check_acyclicity)]
             )
             depth = 0
             while frontier.size:
@@ -1245,7 +1292,8 @@ class ModelChecker:
                     np.zeros(0, dtype=bool),
                 )
             else:
-                buckets = {shard_of(initial, workers): [(initial, None, None)]}
+                # uncertified: the owner Kahn-checks the root
+                buckets = {shard_of(initial, workers): [(initial, None, None, False)]}
 
             def round_payload(entries: List):
                 """Concatenate a bucket's array tuples into one tuple."""

@@ -307,6 +307,23 @@ class SignatureExpander(abc.ABC):
         tail = self._tail
         return [i for i in self._sink_candidates if not ((mask ^ tail[i]) & inc[i])]
 
+    def actors_are_sources(self, sig: int, token: Tuple[int, ...]) -> bool:
+        """Whether every actor of ``token`` is a source in successor ``sig``.
+
+        The model checker's per-step acyclicity certificate: a cycle new in
+        one step must use an edge the step flipped, and every flipped edge
+        points out of an actor, so actors that end up sources lie on no
+        cycle.  Edge ``e`` points out of ``i`` iff its reversal bit
+        *differs* from ``i``'s tail-selector bit (the scalar form of the
+        batch expander's ``sources`` column).
+        """
+        inc = self._inc
+        tail = self._tail
+        for i in token:
+            if (sig ^ tail[i]) & inc[i] != inc[i]:
+                return False
+        return True
+
     # -- symmetry reduction ---------------------------------------------
     def _own_row_bit(self, i: int, w_id: int) -> int:
         """Bookkeeping bit "node ``w`` in node ``i``'s row", 0 when rowless."""
@@ -414,6 +431,10 @@ class FullReversalExpander(SignatureExpander):
     def successors(self, sig: int) -> List[Tuple[Tuple[int, ...], int]]:
         inc = self._inc
         return [((i,), sig ^ inc[i]) for i in self.sink_ids(sig)]
+
+    def actors_are_sources(self, sig: int, token: Tuple[int, ...]) -> bool:
+        # a sink that reverses every incident edge always becomes a source
+        return True
 
     def state_for(self, sig: int) -> FRState:
         return FRState(self.instance, Orientation(self.instance, sig & self._edge_mask))

@@ -19,8 +19,10 @@ from repro.core.graph import LinkReversalInstance
 from repro.core.new_pr import NewPartialReversal
 from repro.core.one_step_pr import OneStepPartialReversal
 from repro.core.pr import PartialReversal
+import repro.exploration.checker as checker_module
 from repro.exploration.checker import ModelChecker
 from repro.exploration.frontier import VisitedSet
+from repro.exploration.state_space import StateSpaceExplorer
 from repro.kernels.signature import compile_expander, shard_of
 from repro.kernels.vector import (
     compile_vector_expander,
@@ -29,6 +31,7 @@ from repro.kernels.vector import (
     shard_of_batch,
 )
 from repro.topology.generators import chain_instance, grid_instance, random_dag_instance
+from repro.verification.acyclicity import is_acyclic
 
 ALGORITHM_CLASSES = (PartialReversal, OneStepPartialReversal, NewPartialReversal, FullReversal)
 
@@ -265,6 +268,14 @@ class TestAcyclicityCertificate:
             )
         ]
         assert expansion.sources.tolist() == expected
+        # the scalar loops' certificate agrees with the column lane for lane
+        scalar = [
+            expander.actors_are_sources(succ, decode_token(token))
+            for succ, token in zip(
+                expansion.successors.tolist(), expansion.tokens.tolist()
+            )
+        ]
+        assert scalar == expansion.sources.tolist()
         if automaton_class is FullReversal:
             assert expansion.sources.all()  # a reversing sink becomes a source
         elif automaton_class is not NewPartialReversal:
@@ -276,6 +287,112 @@ class TestAcyclicityCertificate:
         certified = parent_ok[expansion.parents] & expansion.sources
         assert certified.any() and not parent_ok.all()
         assert child_ok[certified].all()
+
+
+def _twin_rich_instance():
+    """Two twin classes: hubs h1, h2 (each fed by D) and leaves x1..x4
+    (each fed by both hubs).  Under PR a hub keeps its leaf edges incoming
+    when it steps, so some actors are not sources after the step."""
+    hubs = ("h1", "h2")
+    leaves = ("x1", "x2", "x3", "x4")
+    edges = [("D", h) for h in hubs] + [(h, x) for h in hubs for x in leaves]
+    return LinkReversalInstance.from_directed_edges(["D", *hubs, *leaves], "D", edges)
+
+
+class TestScalarCertificate:
+    """The scalar loops certify acyclicity per step like the vector ones.
+
+    Their oracles are engines that do not certify: the legacy explorer with
+    an ``is_acyclic`` predicate, a counted ``mask_is_acyclic``, and counts
+    pinned by hand from the full-Kahn scalar checker.
+    """
+
+    @pytest.mark.parametrize("automaton_class", (FullReversal, PartialReversal))
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("check_progress", (False, True))
+    def test_cyclic_start_reports_every_cycle(
+        self, automaton_class, workers, check_progress
+    ):
+        report = _run(
+            automaton_class(_cyclic_start_instance(), require_dag=False),
+            vectorized="never",
+            workers=workers,
+            check_acyclicity=True,
+            check_progress=check_progress,
+        )
+        assert not report.vectorized
+        assert report.states_explored == 5
+        acyclic = [f for f in report.failures if f.predicate_name == "acyclic"]
+        assert len(acyclic) == 5
+
+    @pytest.mark.parametrize("automaton_class", (FullReversal, PartialReversal))
+    def test_cyclic_start_matches_legacy_explorer(self, automaton_class):
+        instance = _cyclic_start_instance()
+        legacy = StateSpaceExplorer(
+            automaton_class(instance, require_dag=False), {"acyclic": is_acyclic}
+        ).explore()
+        scalar = _run(
+            automaton_class(instance, require_dag=False),
+            vectorized="never",
+            check_acyclicity=True,
+        )
+        assert len(legacy.failures) == 5
+        assert [(f.predicate_name, f.path) for f in scalar.failures] == [
+            (f.predicate_name, f.path) for f in legacy.failures
+        ]
+
+    def test_fr_kahn_checks_only_the_root(self, monkeypatch):
+        calls = []
+        kahn = checker_module.mask_is_acyclic
+
+        def counted(instance, mask):
+            calls.append(mask)
+            return kahn(instance, mask)
+
+        monkeypatch.setattr(checker_module, "mask_is_acyclic", counted)
+        instance = grid_instance(4, 4, oriented_towards_destination=False)
+        report = _run(FullReversal(instance), vectorized="never", check_acyclicity=True)
+        assert report.states_explored == 2604 and report.all_predicates_hold
+        assert calls == [0]  # the root's mask, nothing else
+
+    def test_pr_kahn_checks_only_uncertified_states(self, monkeypatch):
+        calls = []
+        kahn = checker_module.mask_is_acyclic
+
+        def counted(instance, mask):
+            calls.append(mask)
+            return kahn(instance, mask)
+
+        monkeypatch.setattr(checker_module, "mask_is_acyclic", counted)
+        instance = grid_instance(3, 3, oriented_towards_destination=False)
+        report = _run(
+            PartialReversal(instance), vectorized="never", check_acyclicity=True
+        )
+        assert report.all_predicates_hold
+        # partial reversals leave some actors with an incoming edge
+        assert 1 < len(calls) < report.states_explored
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_symmetry_counts_pinned(self, workers):
+        # (states, transitions, quiescent, depth, truncated), failures —
+        # recorded from the scalar checker that Kahn-checked every state
+        cases = (
+            (FullReversal, _twin_rich_instance(), True, (11, 23, 1, 10, False), 0),
+            (PartialReversal, _twin_rich_instance(), True, (7, 30, 1, 2, False), 0),
+            (FullReversal, _cyclic_start_instance(), False, (5, 5, 1, 3, False), 5),
+            (PartialReversal, _cyclic_start_instance(), False, (5, 6, 1, 2, False), 5),
+        )
+        for automaton_class, instance, reduced, summary, failures in cases:
+            report = _run(
+                automaton_class(instance, require_dag=False),
+                symmetry=True,
+                check_acyclicity=True,
+                workers=workers,
+            )
+            assert not report.vectorized
+            assert report.symmetry_reduced is reduced
+            assert _summaries(report) == summary
+            assert len(report.failures) == failures
 
 
 # ----------------------------------------------------------------------
