@@ -869,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="directory for spill runs (default: a temp dir)")
     check_parser.add_argument("--spill-max-runs", type=int, default=8,
                               help="compact spill runs down to one once more than "
-                                   "this many accumulate (batch engine only)")
+                                   "this many accumulate (signatures of 64 bits or "
+                                   "fewer, either engine; wider runs never compact)")
     check_parser.add_argument("--vectorized", choices=("auto", "always", "never"),
                               default="auto",
                               help="frontier engine: 'auto' batches whole BFS rounds "

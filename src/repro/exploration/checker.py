@@ -18,7 +18,11 @@ state materialisation on the hot path), and offers:
 * **sharded exploration** — with ``workers >= 2`` the signature space is
   hash-partitioned across worker processes that exchange cross-shard
   frontier entries in BFS rounds (each worker owns the signatures hashing to
-  its shard, dedups them locally, and routes successors to their owners);
+  its shard, dedups them locally, and routes successors to their owners).
+  One parent loop (:meth:`ModelChecker._run_sharded`) and one worker message loop
+  (:func:`_shard_worker`) serve both engines: entries travel as
+  ``(sigs, parent_sigs, tokens, certified)`` column tuples, kept as Python
+  lists by the scalar engine and as numpy arrays by the vector engine;
 * **twin-node symmetry reduction** (``symmetry=True``) and a **disk-spilled
   visited set** (``spill_threshold=...``) for explorations beyond what a
   Python set can hold.
@@ -73,12 +77,6 @@ ACYCLIC = "acyclic"
 PROGRESS = "progress"
 
 _PROGRESS_DETAIL = "quiescent state is not destination oriented"
-
-#: Deferred-acyclicity batch size on the vectorised path: when no other
-#: failure source can interleave, freshly discovered states that the
-#: per-step certificate could not vouch for are buffered across rounds and
-#: Kahn-checked in bulk once this many accumulate.
-_ACYCLIC_BATCH = 4096
 
 
 @dataclass
@@ -176,6 +174,27 @@ class CheckReport:
 # ----------------------------------------------------------------------
 # shared per-state evaluation
 # ----------------------------------------------------------------------
+def _cycle_failure(expander: SignatureExpander, sig: Hashable) -> Tuple[Hashable, str, str]:
+    """The acyclicity failure of a cyclic ``sig``, naming one of its cycles."""
+    cycle = expander.state_for(sig).orientation.find_cycle()
+    return (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
+
+
+def _visited_set(
+    expander: SignatureExpander,
+    spill_threshold: Optional[int],
+    spill_dir: Optional[str],
+    max_runs: Optional[int],
+) -> VisitedSet:
+    """A visited set keyed at the expander's signature width when it spills."""
+    return VisitedSet(
+        key_bytes=(expander.signature_bits + 7) // 8 if spill_threshold else None,
+        spill_threshold=spill_threshold,
+        spill_dir=spill_dir,
+        max_runs=max_runs,
+    )
+
+
 def _discovery_failures(
     sig: Hashable,
     expander: SignatureExpander,
@@ -187,10 +206,7 @@ def _discovery_failures(
     if check_acyclicity:
         mask = expander.orientation_mask(sig)
         if not mask_is_acyclic(expander.instance, mask):
-            cycle = expander.state_for(sig).orientation.find_cycle()
-            failures.append(
-                (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-            )
+            failures.append(_cycle_failure(expander, sig))
     if predicates:
         state = expander.state_for(sig)
         for name, predicate in predicates.items():
@@ -210,6 +226,11 @@ def _kahn_passed(failures: List[Tuple[Hashable, str, str]], checked: bool) -> bo
 # ----------------------------------------------------------------------
 # sharded worker process
 # ----------------------------------------------------------------------
+#: dtypes of the ``(sigs, parent_sigs, tokens, certified)`` frontier
+#: columns on the vector shard worker
+_COLUMN_DTYPES = (np.uint64, np.uint64, np.uint64, bool)
+
+
 def _shard_worker(
     conn,
     index: int,
@@ -220,27 +241,37 @@ def _shard_worker(
 ) -> None:
     """Own one hash-shard of signature space; driven round-by-round by the parent.
 
+    Frontier entries travel as ``(sigs, parent_sigs, tokens, certified)``
+    column tuples, one per sending worker, and a token of 0 marks the root.
+    Each worker concatenates the tuples it receives into its own container:
+    Python lists of int signatures and action tokens on the scalar engine
+    (:func:`_scalar_engine`, any signature width), ``uint64`` / ``bool``
+    arrays of packed signatures and tokens on the vector engine
+    (:func:`_vector_engine`, ``options["vectorized"]``).  ``certified`` is
+    the per-step acyclicity certificate (see :meth:`ModelChecker._run_vector`):
+    the expanding worker sets it when the entry's parent is known acyclic
+    and every actor is a source after the step, and the owner Kahn-checks
+    only fresh uncertified entries, in the round that discovers them.  Any
+    acyclic parent gives a sound certificate, so it does not matter which
+    emission of a signature arrives first.
+
     Protocol (parent → worker, worker replies on the same pipe):
 
-    * ``("round", entries)`` — ``entries`` are ``(sig, parent_sig, token,
-      certified)`` tuples routed to this shard.  The worker dedups them
-      against its visited set, records predecessor pointers, runs the
-      discovery checks, expands the fresh signatures and replies with
-      ``(new, transitions, quiescent, out_by_owner, failures)``.
-      ``certified`` is the per-step acyclicity certificate (see
-      :meth:`ModelChecker._run_compiled`): the expanding worker sets it when
-      the parent is known acyclic and every actor is a source after the
-      step, and the owner Kahn-checks only fresh uncertified entries.  Any
-      acyclic parent gives a sound certificate, so it does not matter
-      which emission of a signature arrives first.
-    * ``("probe", entries)`` — read-only: replies with how many entries are
-      genuinely new (absent from the visited set, deduped within the batch)
-      *without* inserting them, so the visited set keeps matching
-      ``states_explored``.  Used to decide whether hitting ``max_states``
-      with a pending frontier actually truncated anything.
-    * ``("parent_of", sig)`` — replies with the stored ``(parent, token)``.
+    * ``("round", columns)`` — the column tuples routed to this shard.  The
+      worker dedups them against its visited set, records predecessor
+      pointers, runs the discovery checks, expands the fresh signatures and
+      replies with ``(new, transitions, quiescent, out_by_owner, failures)``,
+      where ``out_by_owner`` maps each owning shard to one column tuple.
+    * ``("probe", sig_columns)`` — read-only: replies with how many of the
+      signatures are genuinely new (absent from the visited set, deduped
+      within the batch) *without* inserting them, so the visited set keeps
+      matching ``states_explored``.  Used to decide whether hitting
+      ``max_states`` with a pending frontier actually truncated anything.
+    * ``("parent_of", sig)`` — replies with the stored ``(parent, token)``,
+      ``(None, None)`` for the root.
     * ``("signatures",)`` — replies with the full visited set (tests only).
-    * ``("stats",)`` — replies with ``{"spilled_runs": int}``.
+    * ``("stats",)`` — replies with ``{"spilled_runs": int}`` plus the
+      visited set's spill/compaction counters.
     * ``("stop",)`` — terminates the worker loop.
 
     Any exception while handling a message is shipped back as a
@@ -248,283 +279,33 @@ def _shard_worker(
     so the parent can raise a diagnosable error rather than an EOF.
     """
     expander = compile_expander(automaton, options["single_actions_only"])
-    symmetry = options["symmetry"]
-    check_acyclicity = options["check_acyclicity"]
-    check_progress = options["check_progress"]
-    spill_threshold = options["spill_threshold"]
-    visited = VisitedSet(
-        key_bytes=(expander.signature_bits + 7) // 8 if spill_threshold else None,
-        spill_threshold=spill_threshold,
-        spill_dir=options["spill_dir"],
-        max_runs=options.get("spill_max_runs", 8),
+    visited = _visited_set(
+        expander,
+        options["spill_threshold"],
+        options["spill_dir"],
+        options["spill_max_runs"],
     )
-    if options.get("vectorized"):
-        vector = compile_vector_expander(expander)
-        if vector is None:  # pragma: no cover - parent compiled the same gate
+    if options["vectorized"]:
+        batch_expander = compile_vector_expander(expander)
+        if batch_expander is None:  # pragma: no cover - parent compiled the same gate
             conn.send(("__shard_error__", "vector kernel unavailable in worker"))
             return
-        _shard_worker_vector(conn, index, shards, expander, vector, predicates,
-                             options, visited)
-        return
-    predecessors: Optional[Dict[Hashable, Tuple]] = {} if options["track_traces"] else None
-    instance = expander.instance
+        play_round, count_new, predecessors = _vector_engine(
+            index, shards, expander, batch_expander, predicates, options, visited
+        )
+    else:
+        play_round, count_new, predecessors = _scalar_engine(
+            index, shards, expander, predicates, options, visited
+        )
 
     while True:
         message = conn.recv()
         kind = message[0]
         try:
             if kind == "round":
-                new = transitions = quiescent = 0
-                out: Dict[int, List[Tuple[Hashable, Hashable, Tuple[int, ...], bool]]] = {}
-                failures: List[Tuple[Hashable, str, str]] = []
-                fresh: List[Tuple[Hashable, bool]] = []
-                for sig, parent, token, certified in message[1]:
-                    if not visited.add(sig):
-                        continue
-                    if predecessors is not None:
-                        predecessors[sig] = (parent, token)
-                    new += 1
-                    found = _discovery_failures(
-                        sig, expander, predicates, check_acyclicity and not certified
-                    )
-                    failures.extend(found)
-                    fresh.append(
-                        (sig, certified or _kahn_passed(found, check_acyclicity))
-                    )
-                routed: set = set()  # round-local dedup of outgoing frontier entries
-                for sig, sig_ok in fresh:
-                    successors = expander.successors(sig)
-                    if not successors:
-                        quiescent += 1
-                        if check_progress and not mask_is_destination_oriented(
-                            instance, expander.orientation_mask(sig)
-                        ):
-                            failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
-                        continue
-                    for token, raw in successors:
-                        transitions += 1
-                        successor = expander.canonicalize(raw) if symmetry else raw
-                        if successor in routed:
-                            continue
-                        owner = shard_of(successor, shards)
-                        if owner == index and successor in visited:
-                            continue
-                        routed.add(successor)
-                        # certificate on the raw successor: the token's
-                        # actor ids name its nodes, not the canonical ones
-                        certified = sig_ok and expander.actors_are_sources(raw, token)
-                        out.setdefault(owner, []).append(
-                            (successor, sig, token, certified)
-                        )
-                conn.send((new, transitions, quiescent, out, failures))
+                conn.send(play_round(message[1]))
             elif kind == "probe":
-                batch: set = set()
-                for sig, _parent, _token, _certified in message[1]:
-                    if sig not in visited:
-                        batch.add(sig)
-                conn.send(len(batch))
-            elif kind == "parent_of":
-                conn.send(
-                    predecessors.get(message[1]) if predecessors is not None else None
-                )
-            elif kind == "signatures":
-                conn.send(set(visited))
-            elif kind == "stats":
-                conn.send({"spilled_runs": visited.spilled_runs})
-            else:  # "stop"
-                visited.close()
-                conn.close()
-                return
-        except Exception as error:  # noqa: BLE001 — ship the failure to the parent
-            conn.send(("__shard_error__", f"{type(error).__name__}: {error}"))
-
-
-def _shard_worker_vector(
-    conn,
-    index: int,
-    shards: int,
-    expander: SignatureExpander,
-    vector,
-    predicates: Mapping[str, StatePredicate],
-    options: Dict[str, Any],
-    visited: VisitedSet,
-) -> None:
-    """Vector twin of the :func:`_shard_worker` message loop.
-
-    Same protocol, but frontier entries travel as ``(sigs, parent_sigs,
-    tokens, certified)`` arrays instead of per-entry tuples — a token of 0
-    marks the root entry.  ``certified`` is the bool acyclicity certificate
-    of each entry (see :meth:`ModelChecker._run_vector`): the expanding
-    worker sets it when the entry's parent is known acyclic and every actor
-    is a source after the step; the owner trusts the bit of a signature's
-    first occurrence and Kahn-checks only uncertified fresh lanes.  One
-    extra message exists: ``("drain",)`` flushes the worker's deferred
-    acyclicity buffer and replies with any remaining failures, sent by the
-    parent once the BFS ends and before traces are collected.
-    """
-    check_acyclicity = options["check_acyclicity"]
-    check_progress = options["check_progress"]
-    instance = expander.instance
-    edge_mask = np.uint64(expander._edge_mask)
-    predecessors = _ArrayPredecessors() if options["track_traces"] else None
-    defer_acyclic = check_acyclicity and not predicates and not check_progress
-    pending: List = []
-    pending_count = 0
-
-    def flush_acyclic(failures: List[Tuple[Hashable, str, str]]) -> None:
-        nonlocal pending_count
-        if not pending:
-            return
-        sigs = np.concatenate(pending) if len(pending) > 1 else pending[0]
-        pending.clear()
-        pending_count = 0
-        good = mask_is_acyclic_batch(instance, sigs & edge_mask)
-        for sig in sigs[~good]:
-            sig = int(sig)
-            cycle = expander.state_for(sig).orientation.find_cycle()
-            failures.append(
-                (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-            )
-
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        try:
-            if kind == "round":
-                sigs, parent_sigs, tokens, certified = message[1]
-                new = transitions = quiescent_count = 0
-                out: Dict[int, Tuple] = {}
-                failures: List[Tuple[Hashable, str, str]] = []
-                if sigs.size:
-                    unique, first_index = np.unique(sigs, return_index=True)
-                    known = visited.contains_many(unique)
-                    new_first = np.sort(first_index[~known])
-                    fresh = sigs[new_first]
-                    visited.update_sorted(unique[~known])
-                    new = int(fresh.size)
-                else:
-                    fresh = sigs
-                if new:
-                    if predecessors is not None:
-                        predecessors.append_round(
-                            fresh, parent_sigs[new_first], tokens[new_first]
-                        )
-                    # discovery checks in scalar order: per fresh signature,
-                    # acyclicity first, then each predicate
-                    events: List[Tuple[int, int, Tuple]] = []
-                    known_ok = certified[new_first]
-                    residual = np.flatnonzero(~known_ok)
-                    if check_acyclicity and residual.size:
-                        if defer_acyclic:
-                            pending.append(fresh[residual])
-                            pending_count += int(residual.size)
-                            if pending_count >= _ACYCLIC_BATCH:
-                                flush_acyclic(failures)
-                        else:
-                            good = mask_is_acyclic_batch(
-                                instance, fresh[residual] & edge_mask
-                            )
-                            known_ok[residual] = good
-                            for k in residual[~good]:
-                                sig = int(fresh[int(k)])
-                                cycle = (
-                                    expander.state_for(sig)
-                                    .orientation.find_cycle()
-                                )
-                                events.append(
-                                    (
-                                        int(k),
-                                        0,
-                                        (
-                                            sig,
-                                            ACYCLIC,
-                                            "cycle: "
-                                            + " -> ".join(map(str, cycle)),
-                                        ),
-                                    )
-                                )
-                    if predicates:
-                        for k in range(new):
-                            state = expander.state_for(int(fresh[k]))
-                            for check, (name, predicate) in enumerate(
-                                predicates.items(), start=1
-                            ):
-                                holds, detail = _predicate_outcome(
-                                    predicate(state)
-                                )
-                                if not holds:
-                                    events.append(
-                                        (k, check, (int(fresh[k]), name, detail))
-                                    )
-                    if events:
-                        events.sort(key=lambda event: event[:2])
-                        failures.extend(event[2] for event in events)
-                    expansion = vector.expand(fresh)
-                    transitions = int(expansion.successors.size)
-                    quiescent_count = int(expansion.quiescent.size)
-                    if check_progress and expansion.quiescent.size:
-                        oriented = mask_is_destination_oriented_batch(
-                            instance, fresh[expansion.quiescent] & edge_mask
-                        )
-                        for position in expansion.quiescent[~oriented]:
-                            failures.append(
-                                (
-                                    int(fresh[int(position)]),
-                                    PROGRESS,
-                                    _PROGRESS_DETAIL,
-                                )
-                            )
-                    if transitions:
-                        # round-local dedup: keep the first emission of each
-                        # successor, exactly like the scalar ``routed`` set
-                        keep_order = np.sort(
-                            np.unique(expansion.successors, return_index=True)[1]
-                        )
-                        routed_sigs = expansion.successors[keep_order]
-                        routed_parents = fresh[expansion.parents[keep_order]]
-                        routed_tokens = expansion.tokens[keep_order]
-                        routed_certified = (
-                            known_ok[expansion.parents[keep_order]]
-                            & expansion.sources[keep_order]
-                        )
-                        owners = shard_of_batch(routed_sigs, shards)
-                        keep = np.ones(routed_sigs.size, dtype=bool)
-                        mine = owners == index
-                        if mine.any():
-                            # self-owned successors can be filtered against
-                            # the local visited set before shipping
-                            values = routed_sigs[mine]
-                            order = np.argsort(values, kind="stable")
-                            hit = visited.contains_many(values[order])
-                            unhit = np.empty(values.size, dtype=bool)
-                            unhit[order] = ~hit
-                            keep[np.flatnonzero(mine)] = unhit
-                        if not keep.all():
-                            routed_sigs = routed_sigs[keep]
-                            routed_parents = routed_parents[keep]
-                            routed_tokens = routed_tokens[keep]
-                            routed_certified = routed_certified[keep]
-                            owners = owners[keep]
-                        for owner in np.unique(owners):
-                            selection = owners == owner
-                            out[int(owner)] = (
-                                routed_sigs[selection],
-                                routed_parents[selection],
-                                routed_tokens[selection],
-                                routed_certified[selection],
-                            )
-                conn.send((new, transitions, quiescent_count, out, failures))
-            elif kind == "probe":
-                probe_sigs = message[1]
-                count = 0
-                if probe_sigs.size:
-                    unique = np.unique(probe_sigs)
-                    count = int((~visited.contains_many(unique)).sum())
-                conn.send(count)
-            elif kind == "drain":
-                drained: List[Tuple[Hashable, str, str]] = []
-                flush_acyclic(drained)
-                conn.send(drained)
+                conn.send(count_new(message[1]))
             elif kind == "parent_of":
                 conn.send(
                     predecessors.get(message[1]) if predecessors is not None else None
@@ -539,6 +320,200 @@ def _shard_worker_vector(
                 return
         except Exception as error:  # noqa: BLE001 — ship the failure to the parent
             conn.send(("__shard_error__", f"{type(error).__name__}: {error}"))
+
+
+def _scalar_engine(
+    index: int,
+    shards: int,
+    expander: SignatureExpander,
+    predicates: Mapping[str, StatePredicate],
+    options: Dict[str, Any],
+    visited: VisitedSet,
+) -> Tuple[Callable, Callable, Optional[Dict[Hashable, Tuple]]]:
+    """Round and probe bodies of a scalar :func:`_shard_worker`, one entry
+    at a time, plus its predecessor store."""
+    symmetry = options["symmetry"]
+    check_acyclicity = options["check_acyclicity"]
+    check_progress = options["check_progress"]
+    instance = expander.instance
+    predecessors: Optional[Dict[Hashable, Tuple]] = (
+        {} if options["track_traces"] else None
+    )
+
+    def play_round(columns: List[Tuple]) -> Tuple:
+        new = transitions = quiescent = 0
+        routed_to: Dict[int, List[Tuple[Hashable, Hashable, Tuple[int, ...], bool]]] = {}
+        failures: List[Tuple[Hashable, str, str]] = []
+        fresh: List[Tuple[Hashable, bool]] = []
+        for entry in columns:
+            for sig, parent, token, certified in zip(*entry):
+                if not visited.add(sig):
+                    continue
+                if predecessors is not None:
+                    predecessors[sig] = (None, None) if token == 0 else (parent, token)
+                new += 1
+                found = _discovery_failures(
+                    sig, expander, predicates, check_acyclicity and not certified
+                )
+                failures.extend(found)
+                fresh.append((sig, certified or _kahn_passed(found, check_acyclicity)))
+        routed: set = set()  # round-local dedup of outgoing frontier entries
+        for sig, sig_ok in fresh:
+            successors = expander.successors(sig)
+            if not successors:
+                quiescent += 1
+                if check_progress and not mask_is_destination_oriented(
+                    instance, expander.orientation_mask(sig)
+                ):
+                    failures.append((sig, PROGRESS, _PROGRESS_DETAIL))
+                continue
+            for token, raw in successors:
+                transitions += 1
+                successor = expander.canonicalize(raw) if symmetry else raw
+                if successor in routed:
+                    continue
+                owner = shard_of(successor, shards)
+                if owner == index and successor in visited:
+                    continue
+                routed.add(successor)
+                # certificate on the raw successor: the token's actor ids
+                # name its nodes, not the canonical ones
+                certified = sig_ok and expander.actors_are_sources(raw, token)
+                routed_to.setdefault(owner, []).append(
+                    (successor, sig, token, certified)
+                )
+        out = {
+            owner: tuple(map(list, zip(*entries)))
+            for owner, entries in routed_to.items()
+        }
+        return new, transitions, quiescent, out, failures
+
+    def count_new(sig_columns: List) -> int:
+        return len({sig for sigs in sig_columns for sig in sigs if sig not in visited})
+
+    return play_round, count_new, predecessors
+
+
+def _concat(parts: List, dtype) -> np.ndarray:
+    """One ``dtype`` array from routed column parts (lists or arrays)."""
+    arrays = [np.asarray(part, dtype=dtype) for part in parts]
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=dtype)
+
+
+def _vector_engine(
+    index: int,
+    shards: int,
+    expander: SignatureExpander,
+    vector,
+    predicates: Mapping[str, StatePredicate],
+    options: Dict[str, Any],
+    visited: VisitedSet,
+) -> Tuple[Callable, Callable, Optional["_ArrayPredecessors"]]:
+    """Round and probe bodies of a vector :func:`_shard_worker`, one numpy
+    pass per round, plus its predecessor store."""
+    check_acyclicity = options["check_acyclicity"]
+    check_progress = options["check_progress"]
+    instance = expander.instance
+    edge_mask = np.uint64(expander._edge_mask)
+    predecessors = _ArrayPredecessors() if options["track_traces"] else None
+
+    def play_round(columns: List[Tuple]) -> Tuple:
+        sigs, parent_sigs, tokens, certified = (
+            _concat([entry[k] for entry in columns], dtype)
+            for k, dtype in enumerate(_COLUMN_DTYPES)
+        )
+        new = transitions = quiescent_count = 0
+        out: Dict[int, Tuple] = {}
+        failures: List[Tuple[Hashable, str, str]] = []
+        if sigs.size:
+            unique, first_index = np.unique(sigs, return_index=True)
+            known = visited.contains_many(unique)
+            new_first = np.sort(first_index[~known])
+            fresh = sigs[new_first]
+            visited.update_sorted(unique[~known])
+            new = int(fresh.size)
+        if not new:
+            return new, transitions, quiescent_count, out, failures
+        if predecessors is not None:
+            predecessors.append_round(fresh, parent_sigs[new_first], tokens[new_first])
+        # discovery checks in scalar order: per fresh signature, acyclicity
+        # first, then each predicate
+        events: List[Tuple[int, int, Tuple]] = []
+        known_ok = certified[new_first]
+        residual = np.flatnonzero(~known_ok)
+        if check_acyclicity and residual.size:
+            good = mask_is_acyclic_batch(instance, fresh[residual] & edge_mask)
+            known_ok[residual] = good
+            for k in residual[~good]:
+                events.append((int(k), 0, _cycle_failure(expander, int(fresh[int(k)]))))
+        if predicates:
+            for k in range(new):
+                state = expander.state_for(int(fresh[k]))
+                for check, (name, predicate) in enumerate(predicates.items(), start=1):
+                    holds, detail = _predicate_outcome(predicate(state))
+                    if not holds:
+                        events.append((k, check, (int(fresh[k]), name, detail)))
+        if events:
+            events.sort(key=lambda event: event[:2])
+            failures.extend(event[2] for event in events)
+        expansion = vector.expand(fresh)
+        transitions = int(expansion.successors.size)
+        quiescent_count = int(expansion.quiescent.size)
+        if check_progress and expansion.quiescent.size:
+            oriented = mask_is_destination_oriented_batch(
+                instance, fresh[expansion.quiescent] & edge_mask
+            )
+            for position in expansion.quiescent[~oriented]:
+                failures.append((int(fresh[int(position)]), PROGRESS, _PROGRESS_DETAIL))
+        if transitions:
+            # round-local dedup: keep the first emission of each successor,
+            # exactly like the scalar ``routed`` set
+            keep_order = np.sort(
+                np.unique(expansion.successors, return_index=True)[1]
+            )
+            routed_sigs = expansion.successors[keep_order]
+            routed_parents = fresh[expansion.parents[keep_order]]
+            routed_tokens = expansion.tokens[keep_order]
+            routed_certified = (
+                known_ok[expansion.parents[keep_order]] & expansion.sources[keep_order]
+            )
+            owners = shard_of_batch(routed_sigs, shards)
+            keep = np.ones(routed_sigs.size, dtype=bool)
+            mine = owners == index
+            if mine.any():
+                # self-owned successors can be filtered against the local
+                # visited set before shipping
+                values = routed_sigs[mine]
+                order = np.argsort(values, kind="stable")
+                hit = visited.contains_many(values[order])
+                unhit = np.empty(values.size, dtype=bool)
+                unhit[order] = ~hit
+                keep[np.flatnonzero(mine)] = unhit
+            if not keep.all():
+                routed_sigs = routed_sigs[keep]
+                routed_parents = routed_parents[keep]
+                routed_tokens = routed_tokens[keep]
+                routed_certified = routed_certified[keep]
+                owners = owners[keep]
+            for owner in np.unique(owners):
+                selection = owners == owner
+                out[int(owner)] = (
+                    routed_sigs[selection],
+                    routed_parents[selection],
+                    routed_tokens[selection],
+                    routed_certified[selection],
+                )
+        return new, transitions, quiescent_count, out, failures
+
+    def count_new(sig_columns: List) -> int:
+        sigs = _concat(sig_columns, np.uint64)
+        if not sigs.size:
+            return 0
+        return int((~visited.contains_many(np.unique(sigs))).sum())
+
+    return play_round, count_new, predecessors
 
 
 def _shard_recv(connection):
@@ -562,7 +537,7 @@ class _ArrayPredecessors:
     walk — failures are the rare case, clean runs never pay.
 
     A token of 0 marks a root entry (the initial state has no actors), so
-    the sharded exchange can ship roots in the same array triple.
+    the sharded exchange can ship roots in the same columns.
     """
 
     def __init__(self, initial: Optional[int] = None):
@@ -680,21 +655,19 @@ class ModelChecker:
         self.spill_threshold = spill_threshold
         self.spill_dir = spill_dir
         self.spill_max_runs = spill_max_runs
-        if isinstance(vectorized, bool):  # ergonomic alias
-            vectorized = "always" if vectorized else "never"
-        if vectorized not in ("auto", "always", "never"):
+        self.vectorized = vectorized
+        if self.vectorized not in ("auto", "always", "never"):
             raise ValueError(
                 f"vectorized must be 'auto', 'always' or 'never', got {vectorized!r}"
             )
-        self.vectorized = vectorized
         self.track_traces = track_traces
         self.collect_signatures = collect_signatures
         self.max_traced_failures = max_traced_failures
         self._expander = compile_expander(automaton, single_actions_only)
         self._vector = None
-        if vectorized != "never" and not symmetry:
+        if self.vectorized != "never" and not symmetry:
             self._vector = compile_vector_expander(self._expander)
-        if vectorized == "always" and self._vector is None:
+        if self.vectorized == "always" and self._vector is None:
             raise ValueError(
                 "vectorized='always' but the batch engine cannot run here "
                 "(no compiled kernel, signature wider than 64 bits, or "
@@ -734,10 +707,7 @@ class ModelChecker:
             ),
         )
         if self.workers > 1:
-            if self._vector is not None:
-                self._run_sharded(report, vector=True)
-            else:
-                self._run_sharded(report)
+            self._run_sharded(report)
         elif self._vector is not None:
             self._run_vector(report)
         elif self._expander is not None:
@@ -795,11 +765,8 @@ class ModelChecker:
         initial = expander.initial_signature()
         if self.symmetry:
             initial = expander.canonicalize(initial)
-        visited = VisitedSet(
-            key_bytes=(expander.signature_bits + 7) // 8 if self.spill_threshold else None,
-            spill_threshold=self.spill_threshold,
-            spill_dir=self.spill_dir,
-            max_runs=self.spill_max_runs,
+        visited = _visited_set(
+            expander, self.spill_threshold, self.spill_dir, self.spill_max_runs
         )
         visited.add(initial)
         report.states_explored = 1
@@ -900,14 +867,11 @@ class ModelChecker:
         certified states are acyclic, skipping them removes no failure, and
         failure sets and order stay exact.
 
-        "Known acyclic" is a bool per frontier lane: certified, or passed an
-        immediate Kahn check.  When no predicate or progress check can
-        interleave, the Kahn check is deferred across rounds in
-        :data:`_ACYCLIC_BATCH` buffers; a lane still pending there has no
-        verdict yet, so it counts as unknown and its children go to the
-        exact path too.  The initial state is checked at once with the scalar
-        ``mask_is_acyclic``, so deferred mode can certify from the root on.
-        The scalar loops (:meth:`_run_compiled`, :func:`_shard_worker`)
+        "Known acyclic" is a bool per frontier lane: certified, or passed
+        the Kahn check of the round that discovered it, so the bit is exact
+        for every lane.  The initial state is checked with the scalar
+        ``mask_is_acyclic``, so certification starts at the root.  The
+        scalar loops (:meth:`_run_compiled`, the scalar shard engine)
         certify the same way, so neither is an oracle for this bookkeeping:
         the legacy :class:`~repro.exploration.state_space.StateSpaceExplorer`
         with an ``is_acyclic`` predicate, and the naive per-lane source
@@ -919,41 +883,13 @@ class ModelChecker:
         report.vectorized = True
         edge_mask = np.uint64(expander._edge_mask)
         initial = int(expander.initial_signature())
-        visited = VisitedSet(
-            key_bytes=(expander.signature_bits + 7) // 8 if self.spill_threshold else None,
-            spill_threshold=self.spill_threshold,
-            spill_dir=self.spill_dir,
-            max_runs=self.spill_max_runs,
+        visited = _visited_set(
+            expander, self.spill_threshold, self.spill_dir, self.spill_max_runs
         )
         visited.add(initial)
         report.states_explored = 1
         predecessors = _ArrayPredecessors(initial) if self.track_traces else None
         raw_failures: List[Tuple[Hashable, str, str]] = []
-        # acyclicity can only be deferred across rounds when nothing else
-        # (predicate or progress failures) has to interleave with it
-        defer_acyclic = (
-            self.check_acyclicity
-            and not self.predicates
-            and not self.check_progress
-        )
-        pending: List = []
-        pending_count = 0
-
-        def flush_acyclic() -> None:
-            nonlocal pending_count
-            if not pending:
-                return
-            sigs = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending.clear()
-            pending_count = 0
-            good = mask_is_acyclic_batch(instance, sigs & edge_mask)
-            for sig in sigs[~good]:
-                sig = int(sig)
-                cycle = expander.state_for(sig).orientation.find_cycle()
-                raw_failures.append(
-                    (sig, ACYCLIC, "cycle: " + " -> ".join(map(str, cycle)))
-                )
-
         try:
             raw_failures.extend(
                 _discovery_failures(
@@ -1031,30 +967,19 @@ class ModelChecker:
                         & expansion.sources[accepted]
                     )
                     residual = np.flatnonzero(~known_ok)
-                    if defer_acyclic and residual.size:
-                        pending.append(new_sigs[residual])
-                        pending_count += int(residual.size)
-                        if pending_count >= _ACYCLIC_BATCH:
-                            flush_acyclic()
-                    elif residual.size:
+                    if residual.size:
                         good = mask_is_acyclic_batch(
                             instance, new_sigs[residual] & edge_mask
                         )
                         known_ok[residual] = good
                         for k in residual[~good]:
                             position = int(accepted[k])
-                            sig = int(new_sigs[k])
-                            cycle = expander.state_for(sig).orientation.find_cycle()
                             events.append(
                                 (
                                     int(parents[position]),
                                     position,
                                     0,
-                                    (
-                                        sig,
-                                        ACYCLIC,
-                                        "cycle: " + " -> ".join(map(str, cycle)),
-                                    ),
+                                    _cycle_failure(expander, int(new_sigs[k])),
                                 )
                             )
                 if self.predicates:
@@ -1087,7 +1012,6 @@ class ModelChecker:
                     frontier_ok = known_ok
                 depth += 1
 
-            flush_acyclic()
             report.spilled = visited.spilled_runs > 0
             report.spill_stats = visited.stats
             if self.collect_signatures:
@@ -1228,10 +1152,20 @@ class ModelChecker:
     # ------------------------------------------------------------------
     # sharded multi-process path
     # ------------------------------------------------------------------
-    def _run_sharded(self, report: CheckReport, vector: bool = False) -> None:
+    def _run_sharded(self, report: CheckReport) -> None:
+        """Run the shard workers of either engine in BFS rounds.
+
+        One parent loop for both :func:`_shard_worker` engines: it only
+        moves ``(sigs, parent_sigs, tokens, certified)`` column tuples
+        between shards and adds up the replies, so nothing here depends on
+        whether the workers keep lists or arrays.  The root's certificate is
+        its exact Kahn verdict, computed here once, so a cyclic root still
+        reaches its owner's exact check.
+        """
         expander = self._expander
         workers = self.workers
         context = fork_preferring_context()
+        report.vectorized = self._vector is not None
         options = {
             "single_actions_only": self.single_actions_only,
             "symmetry": self.symmetry,
@@ -1241,7 +1175,7 @@ class ModelChecker:
             "spill_dir": None,
             "spill_max_runs": self.spill_max_runs,
             "track_traces": self.track_traces,
-            "vectorized": vector,
+            "vectorized": report.vectorized,
         }
         connections = []
         processes = []
@@ -1273,36 +1207,14 @@ class ModelChecker:
             initial = expander.initial_signature()
             if self.symmetry:
                 initial = expander.canonicalize(initial)
-            if vector:
-                report.vectorized = True
-                # the root's certificate is its exact scalar verdict, so a
-                # cyclic root still reaches its owner's exact check
-                root_ok = self.check_acyclicity and mask_is_acyclic(
-                    expander.instance, expander.orientation_mask(initial)
-                )
-                root = (
-                    np.array([initial], dtype=np.uint64),
-                    np.array([initial], dtype=np.uint64),
-                    np.zeros(1, dtype=np.uint64),  # token 0 marks the root
-                    np.array([root_ok]),
-                )
-                buckets: Dict[int, List] = {shard_of(initial, workers): [root]}
-                empty_round = (
-                    *(np.zeros(0, dtype=np.uint64) for _ in range(3)),
-                    np.zeros(0, dtype=bool),
-                )
-            else:
-                # uncertified: the owner Kahn-checks the root
-                buckets = {shard_of(initial, workers): [(initial, None, None, False)]}
-
-            def round_payload(entries: List):
-                """Concatenate a bucket's array tuples into one tuple."""
-                if not entries:
-                    return empty_round
-                if len(entries) == 1:
-                    return entries[0]
-                return tuple(np.concatenate(parts) for parts in zip(*entries))
-
+            root_ok = self.check_acyclicity and mask_is_acyclic(
+                expander.instance, expander.orientation_mask(initial)
+            )
+            # bucket: the column tuples addressed to one shard; token 0
+            # marks the root
+            buckets: Dict[int, List[Tuple]] = {
+                shard_of(initial, workers): [([initial], [initial], [0], [root_ok])]
+            }
             raw_failures: List[Tuple[Hashable, str, str]] = []
             round_index = 0
             while buckets:
@@ -1313,53 +1225,34 @@ class ModelChecker:
                     # (an exactly-exhausted space), so probe before declaring
                     # truncation: workers dedup the entries without checking
                     # or expanding them and report how many were new.
-                    probe_new = 0
-                    for index in range(workers):
-                        if vector:
-                            connections[index].send(
-                                ("probe", round_payload(buckets.get(index, []))[0])
-                            )
-                        else:
-                            connections[index].send(
-                                ("probe", buckets.get(index, []))
-                            )
-                    for index in range(workers):
-                        probe_new += _shard_recv(connections[index])
-                    report.truncated = probe_new > 0
-                    break
-                for index in range(workers):
-                    if vector:
-                        connections[index].send(
-                            ("round", round_payload(buckets.get(index, [])))
+                    for index, connection in enumerate(connections):
+                        connection.send(
+                            ("probe", [columns[0] for columns in buckets.get(index, [])])
                         )
-                    else:
-                        connections[index].send(("round", buckets.get(index, [])))
-                next_buckets: Dict[int, List] = {}
-                round_new = 0
-                for index in range(workers):
-                    new, transitions, quiescent, out, failures = _shard_recv(
-                        connections[index]
+                    report.truncated = (
+                        sum(_shard_recv(connection) for connection in connections) > 0
                     )
+                    break
+                for index, connection in enumerate(connections):
+                    connection.send(("round", buckets.get(index, [])))
+                next_buckets: Dict[int, List[Tuple]] = {}
+                round_new = 0
+                for connection in connections:
+                    new, transitions, quiescent, out, failures = _shard_recv(connection)
                     round_new += new
                     report.transitions_explored += transitions
                     report.quiescent_states += quiescent
                     raw_failures.extend(failures)
-                    for owner, entries in out.items():
-                        if vector:
-                            next_buckets.setdefault(owner, []).append(entries)
-                        else:
-                            next_buckets.setdefault(owner, []).extend(entries)
+                    for owner, columns in out.items():
+                        next_buckets.setdefault(owner, []).append(columns)
                 report.states_explored += round_new
                 if round_new:
                     report.max_depth = round_index
-                if vector:
-                    frontier = sum(
-                        int(arrays[0].size)
-                        for entries in next_buckets.values()
-                        for arrays in entries
-                    )
-                else:
-                    frontier = sum(len(entries) for entries in next_buckets.values())
+                frontier = sum(
+                    len(columns[0])
+                    for bucket in next_buckets.values()
+                    for columns in bucket
+                )
                 logger.debug(
                     "sharded round %d: %d new states, frontier %d",
                     round_index, round_new, frontier,
@@ -1367,18 +1260,11 @@ class ModelChecker:
                 if _telemetry.ENABLED:
                     if frontier:
                         _telemetry.REGISTRY.observe("checker.frontier", frontier)
-                    if vector and round_new:
+                    if report.vectorized and round_new:
                         _telemetry.REGISTRY.inc("checker.batch_rounds")
                 round_index += 1
                 buckets = next_buckets
 
-            if vector:
-                # flush each worker's deferred acyclicity buffer before
-                # collecting traces
-                for connection in connections:
-                    connection.send(("drain",))
-                for connection in connections:
-                    raw_failures.extend(_shard_recv(connection))
             self._collect_sharded_failures(report, raw_failures, connections)
             if self.collect_signatures:
                 collected: Set[Hashable] = set()
@@ -1386,17 +1272,15 @@ class ModelChecker:
                     connection.send(("signatures",))
                     collected |= _shard_recv(connection)
                 report.signatures = collected
+            totals: Dict[str, int] = {}
             for connection in connections:
                 connection.send(("stats",))
                 stats = _shard_recv(connection)
-                if stats["spilled_runs"]:
+                if stats.pop("spilled_runs"):
                     report.spilled = True
-                if vector:
-                    totals = report.spill_stats or {}
-                    for key in ("spills", "compactions", "runs", "spilled_signatures"):
-                        if key in stats:
-                            totals[key] = totals.get(key, 0) + int(stats[key])
-                    report.spill_stats = totals
+                for key, value in stats.items():
+                    totals[key] = totals.get(key, 0) + int(value)
+            report.spill_stats = totals
         finally:
             for connection in connections:
                 try:

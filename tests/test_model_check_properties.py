@@ -265,6 +265,29 @@ class TestShardedEquivalence:
         assert not sharded.truncated
         assert sharded.states_explored == single.states_explored == exact
 
+    def test_scalar_shard_engine_probes_at_the_cap(self, bad_grid):
+        # the tests above run the vector shard engine; the scalar one has
+        # its own probe: an exact fit is exhaustive, and a tighter cap
+        # truncates without inserting the probed entries
+        exact = ModelChecker(OneStepPartialReversal(bad_grid)).run().states_explored
+        fit = ModelChecker(
+            OneStepPartialReversal(bad_grid),
+            max_states=exact,
+            workers=2,
+            vectorized="never",
+        ).run()
+        assert not fit.vectorized
+        assert not fit.truncated and fit.states_explored == exact
+        capped = ModelChecker(
+            FullReversal(bad_grid),
+            max_states=10,
+            workers=2,
+            vectorized="never",
+            collect_signatures=True,
+        ).run()
+        assert capped.truncated
+        assert len(capped.signatures) == capped.states_explored >= 10
+
     def test_sharded_track_traces_off_still_reports_failures(self, bad_grid):
         automaton = OneStepPartialReversal(bad_grid)
         predicates = _planted_predicates(automaton)

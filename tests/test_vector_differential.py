@@ -146,6 +146,8 @@ class TestVectorMatchesScalar:
         assert batch.spilled and scalar.spilled
         assert batch.spill_stats["spills"] > 0
         assert batch.spill_stats["compactions"] > 0
+        assert scalar.spill_stats["spills"] > 0
+        assert scalar.spill_stats["compactions"] > 0
         assert _summaries(scalar) == _summaries(batch)
         assert scalar.signatures == batch.signatures
 
@@ -172,6 +174,12 @@ class TestVectorMatchesScalar:
         with pytest.raises(ValueError, match="vectorized='always'"):
             ModelChecker(NewPartialReversal(instance), vectorized="always")
 
+    def test_vectorized_accepts_only_the_three_modes(self):
+        instance = grid_instance(3, 3, oriented_towards_destination=False)
+        for value in (True, "sometimes"):
+            with pytest.raises(ValueError, match="vectorized must be"):
+                ModelChecker(FullReversal(instance), vectorized=value)
+
     def test_certificate_fallback_reports_every_cycle(self):
         """A cyclic start: no state is certifiable, so every cycle must come
         back through the exact fallback, in the scalar order."""
@@ -179,7 +187,7 @@ class TestVectorMatchesScalar:
         for automaton_class in (FullReversal, PartialReversal):
             for options in (
                 dict(check_acyclicity=True, check_progress=True),  # immediate
-                dict(check_acyclicity=True),  # deferred across rounds
+                dict(check_acyclicity=True),  # acyclicity only
             ):
                 scalar = _run(
                     automaton_class(instance, require_dag=False),
